@@ -474,12 +474,17 @@ impl Detector {
     }
 
     /// Snapshots the full per-detector metric registry: the lifecycle
-    /// registry plus `sad_detector_removal_misses_total` and
+    /// registry plus `sad_detector_removal_misses_total`,
+    /// `sad_detector_nonfinite_drift_stats_total` and
     /// `sad_detector_train_seconds`. Snapshots of any two detectors merge
     /// via [`sad_obs::Registry::merge_from`] (the schema is shared across
     /// Task-2 variants). Allocates — export path only.
     pub fn export_metrics(&self) -> sad_obs::Registry {
-        self.telemetry.snapshot(self.drift.removal_misses(), self.train_time)
+        self.telemetry.snapshot(
+            self.drift.removal_misses(),
+            self.drift.nonfinite_stats(),
+            self.train_time,
+        )
     }
 
     /// Component names as `(model, task1, task2, scorer)` for reports.

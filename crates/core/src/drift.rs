@@ -49,6 +49,14 @@ pub trait DriftDetector: Send {
         0
     }
 
+    /// How many observes found the detector's running statistics
+    /// non-finite (a NaN or infinite sample poisoned the sums, which never
+    /// recover). Only [`MuSigmaChange`] keeps such sums, so the default is
+    /// 0; surfaced as `sad_detector_nonfinite_drift_stats_total`.
+    fn nonfinite_stats(&self) -> u64 {
+        0
+    }
+
     /// Clones the detector behind the trait object.
     fn clone_box(&self) -> Box<dyn DriftDetector>;
 }
@@ -100,11 +108,17 @@ impl DriftDetector for RegularInterval {
 
 /// The μ/σ-Change strategy.
 ///
-/// Keeps element-wise running statistics of the training set (updated in
-/// `O(Nw)` from the [`SetUpdate`] delta) and a snapshot `(μ_i, σ_i)` taken
-/// at the last fine-tune. Triggers when
-/// `d(μ_i, μ_t) > σ_i` (RMS distance across the `Nw` dimensions) or when
-/// `σ_t` leaves `[σ_i/2, 2σ_i]`.
+/// Keeps element-wise running statistics of the training set (a
+/// struct-of-arrays [`VectorRunningStats`], updated in `O(Nw)` from the
+/// [`SetUpdate`] delta) and a snapshot `(μ_i, σ_i)` taken at the last
+/// fine-tune. Triggers when `d(μ_i, μ_t) > σ_i` (RMS distance across the
+/// `Nw` dimensions) or when `σ_t` leaves `[σ_i/2, 2σ_i]`.
+///
+/// Both trigger terms come from one fused pass over the statistics
+/// ([`VectorRunningStats::drift_terms`]), and the fine-tune snapshot reuses
+/// the same pass ([`VectorRunningStats::snapshot_means`]). An observe whose
+/// terms come back non-finite is counted ([`DriftDetector::nonfinite_stats`])
+/// but otherwise handled as before: every trigger comparison is false.
 #[derive(Debug, Clone)]
 pub struct MuSigmaChange {
     stats: Option<VectorRunningStats>,
@@ -112,6 +126,7 @@ pub struct MuSigmaChange {
     ref_sigma: f64,
     has_ref: bool,
     ops: OpCount,
+    nonfinite: u64,
 }
 
 impl MuSigmaChange {
@@ -121,7 +136,14 @@ impl MuSigmaChange {
 
     /// Creates the detector (statistics are sized lazily on first update).
     pub fn new() -> Self {
-        Self { stats: None, ref_mean: Vec::new(), ref_sigma: 0.0, has_ref: false, ops: OpCount::default() }
+        Self {
+            stats: None,
+            ref_mean: Vec::new(),
+            ref_sigma: 0.0,
+            has_ref: false,
+            ops: OpCount::default(),
+            nonfinite: 0,
+        }
     }
 
     fn stats_mut(&mut self, dim: usize) -> &mut VectorRunningStats {
@@ -165,17 +187,10 @@ impl DriftDetector for MuSigmaChange {
         if stats.count() < 2 {
             return false;
         }
-        // RMS distance between the reference and current mean vectors,
-        // streamed per dimension (no temporary mean vector on the heap).
-        let dist_sq: f64 = self
-            .ref_mean
-            .iter()
-            .zip(stats.means())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / stats.dim() as f64;
-        let dist = dist_sq.sqrt();
-        let sigma_t = stats.mean_std_dev();
+        let (dist, sigma_t) = stats.drift_terms(&self.ref_mean);
+        if !(dist.is_finite() && sigma_t.is_finite()) {
+            self.nonfinite += 1;
+        }
         // per dim: mean (1 mul), diff² (1 add, 1 mul), variance (2 mul, 1 add), sqrt
         self.ops.additions += 2 * d;
         self.ops.multiplications += 4 * d;
@@ -187,15 +202,17 @@ impl DriftDetector for MuSigmaChange {
     fn on_fine_tune(&mut self, _train: &[FeatureVector]) {
         if let Some(stats) = &self.stats {
             // Reuse the reference buffer's capacity after the first snapshot.
-            self.ref_mean.clear();
-            self.ref_mean.extend(stats.means());
-            self.ref_sigma = stats.mean_std_dev();
+            self.ref_sigma = stats.snapshot_means(&mut self.ref_mean);
             self.has_ref = true;
         }
     }
 
     fn ops(&self) -> OpCount {
         self.ops
+    }
+
+    fn nonfinite_stats(&self) -> u64 {
+        self.nonfinite
     }
 
     fn clone_box(&self) -> Box<dyn DriftDetector> {

@@ -117,17 +117,28 @@ impl LifecycleTelemetry {
         &self.registry
     }
 
-    /// Snapshots the lifecycle registry plus the two export-time metrics
-    /// that live outside it: `sad_detector_removal_misses_total` (pulled
-    /// from the Task-2 detector) and `sad_detector_train_seconds` (the
-    /// cumulative training wall time). Allocates — export path only.
-    pub fn snapshot(&self, removal_misses: u64, train_time: std::time::Duration) -> Registry {
+    /// Snapshots the lifecycle registry plus the export-time metrics that
+    /// live outside it: `sad_detector_removal_misses_total` and
+    /// `sad_detector_nonfinite_drift_stats_total` (both pulled from the
+    /// Task-2 detector) and `sad_detector_train_seconds` (the cumulative
+    /// training wall time). Allocates — export path only.
+    pub fn snapshot(
+        &self,
+        removal_misses: u64,
+        nonfinite_drift_stats: u64,
+        train_time: std::time::Duration,
+    ) -> Registry {
         let mut reg = self.registry.clone();
         let rm = reg.register_counter(
             "sad_detector_removal_misses_total",
             "Training-set removals the Task-2 detector could not honor.",
         );
         reg.inc(rm, removal_misses);
+        let nf = reg.register_counter(
+            "sad_detector_nonfinite_drift_stats_total",
+            "Drift observes whose running statistics were non-finite (a NaN/inf sample).",
+        );
+        reg.inc(nf, nonfinite_drift_stats);
         let tt = reg.register_gauge(
             "sad_detector_train_seconds",
             "Cumulative model training wall time (max across merged detectors).",
@@ -151,14 +162,15 @@ mod tests {
         b.record_step(0.9);
         b.on_drift();
         b.on_fine_tune();
-        let mut merged = a.snapshot(3, std::time::Duration::from_secs(2));
-        merged.merge_from(&b.snapshot(0, std::time::Duration::from_secs(5)));
+        let mut merged = a.snapshot(3, 0, std::time::Duration::from_secs(2));
+        merged.merge_from(&b.snapshot(0, 7, std::time::Duration::from_secs(5)));
         assert_eq!(merged.counter_by_name("sad_detector_steps_total"), Some(3));
         assert_eq!(merged.counter_by_name(&drift_counter_name("KS")), Some(1));
         assert_eq!(merged.counter_by_name(&drift_counter_name("μ/σ")), Some(1));
         assert_eq!(merged.counter_by_name(&drift_counter_name("Regular")), Some(0));
         assert_eq!(merged.counter_by_name("sad_detector_fine_tune_events_total"), Some(1));
         assert_eq!(merged.counter_by_name("sad_detector_removal_misses_total"), Some(3));
+        assert_eq!(merged.counter_by_name("sad_detector_nonfinite_drift_stats_total"), Some(7));
         assert_eq!(merged.gauge_by_name("sad_detector_train_seconds"), Some(5.0));
         assert_eq!(merged.histogram_by_name("sad_detector_nonconformity").unwrap().count(), 3);
     }

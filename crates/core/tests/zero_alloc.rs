@@ -11,7 +11,11 @@
 //!
 //! The model under the detector emits a direct [`ModelOutput::Score`] so
 //! the guard isolates the framework machinery — the model layers have
-//! their own guards (`sad-nn` / `sad-models` `zero_alloc` tests).
+//! their own guards (`sad-nn` / `sad-models` `zero_alloc` tests). A second
+//! stub emits [`ModelOutput::Reconstruction`] at serving width (38 channels
+//! × w=10 = 380 dims) through the split-step API, the way the fleet feeds
+//! batched outputs, so the fused cosine nonconformity and the fused μ/σ
+//! observe pass run under the counting allocator too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,6 +89,39 @@ impl StreamModel for HeapFreeScore {
         let s: f64 = x.last_step().iter().map(|v| v.abs()).sum::<f64>()
             / x.last_step().len() as f64;
         ModelOutput::Score((s * 0.5).clamp(0.0, 1.0))
+    }
+
+    fn fit_initial(&mut self, _train: &[FeatureVector], _epochs: usize) {}
+
+    fn fine_tune(&mut self, _train: &[FeatureVector]) {}
+
+    fn clone_box(&self) -> Box<dyn StreamModel> {
+        Box::new(self.clone())
+    }
+}
+
+/// Reconstruction stand-in: a fixed affine map of the input, written in
+/// place so the split-step guard below can refill one output buffer.
+#[derive(Debug, Clone)]
+struct AffineReconstruction;
+
+impl AffineReconstruction {
+    fn reconstruct_into(x: &FeatureVector, out: &mut [f64]) {
+        for (i, (o, &v)) in out.iter_mut().zip(x.as_slice()).enumerate() {
+            *o = 0.9 * v + 0.01 * (i % 7) as f64;
+        }
+    }
+}
+
+impl StreamModel for AffineReconstruction {
+    fn name(&self) -> &'static str {
+        "affine reconstruction"
+    }
+
+    fn predict(&mut self, x: &FeatureVector) -> ModelOutput {
+        let mut out = vec![0.0; x.dim()];
+        Self::reconstruct_into(x, &mut out);
+        ModelOutput::Reconstruction(out)
     }
 
     fn fit_initial(&mut self, _train: &[FeatureVector], _epochs: usize) {}
@@ -187,4 +224,53 @@ fn steady_state_fanout_step_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "steady-state step_fanout must not allocate, saw {n}");
+}
+
+/// Serving width: 38 channels × w=10 = 380 feature dimensions, not a
+/// multiple of the fused μ/σ pass's chunk width. The stream is periodic
+/// with the window length, so the training set's statistics stay constant
+/// and μ/σ-Change never fires.
+#[test]
+fn steady_state_reconstruction_split_step_is_allocation_free() {
+    const WIDE: usize = 38;
+    const W: usize = 10;
+    let rows: Vec<Vec<f64>> = (0..W)
+        .map(|t| {
+            let phase = std::f64::consts::TAU * t as f64 / W as f64;
+            (0..WIDE).map(|c| (phase + c as f64 * 0.3).sin() * (1.0 + 0.05 * c as f64)).collect()
+        })
+        .collect();
+    let config = DetectorConfig {
+        window: W,
+        channels: WIDE,
+        warmup: 80,
+        initial_epochs: 1,
+        fine_tune_epochs: 1,
+    };
+    let mut det = Detector::new(
+        config,
+        Box::new(AffineReconstruction),
+        Box::new(SlidingWindowSet::new(2 * W)),
+        Box::new(MuSigmaChange::new()),
+        Box::new(AnomalyLikelihood::new(12, 3)),
+    );
+    let mut t = 0usize;
+    for _ in 0..160 {
+        det.step(&rows[t % W]);
+        t += 1;
+    }
+    assert!(det.drift_times().is_empty(), "stream must be drift-free for this guard");
+    let mut output = ModelOutput::Reconstruction(vec![0.0; WIDE * W]);
+    let n = count_allocs(|| {
+        for _ in 0..256 {
+            assert!(det.begin_step(&rows[t % W]), "past warm-up");
+            if let ModelOutput::Reconstruction(r) = &mut output {
+                AffineReconstruction::reconstruct_into(det.feature(), r);
+            }
+            let out = det.finish_step(&output);
+            assert!(!out.drift && out.nonconformity > 0.0, "drift-free, imperfect reconstruction");
+            t += 1;
+        }
+    });
+    assert_eq!(n, 0, "380-dim reconstruction split step must not allocate, saw {n}");
 }

@@ -7,9 +7,9 @@
 //!
 //! * **μ/σ-Change** (paper §IV-B, Task 2) needs a running mean and standard
 //!   deviation over a training set that changes by single-element
-//!   insert/replace operations — [`running::RunningStats`] and
-//!   [`running::VectorRunningStats`] provide exactly the `O(1)` update rules
-//!   the paper's Table II counts operations for.
+//!   insert/replace operations — [`running::VectorRunningStats`] provides
+//!   exactly the `O(1)` update rules the paper's Table II counts operations
+//!   for, element-wise over the feature vector.
 //! * **KSWIN** needs the two-sample Kolmogorov–Smirnov test with the
 //!   `c(α)√((r_i+r_t)/(r_i r_t))` critical value — [`ks`].
 //!
@@ -28,4 +28,4 @@ pub use gaussian::{erfc, normal_cdf, normal_pdf, q_function};
 pub use ks::{ks_critical_value, ks_statistic, ks_statistic_sorted, ks_test, KsOutcome};
 pub use opcount::OpCount;
 pub use quantile::{median, quantile};
-pub use running::{RunningStats, VectorRunningStats};
+pub use running::VectorRunningStats;

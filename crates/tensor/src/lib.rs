@@ -10,8 +10,8 @@
 //! * direct solvers — Gaussian elimination with partial pivoting and
 //!   least-squares via the normal equations ([`mod@solve`]) — used by the
 //!   vector-autoregressive model,
-//! * free-standing vector kernels (dot products, norms, cosine similarity)
-//!   used by every nonconformity measure ([`vector`]),
+//! * the cosine-similarity kernel behind the nonconformity measure
+//!   ([`vector`]),
 //! * first-order optimizers (SGD with momentum, Adam) operating on flat
 //!   parameter slices ([`optim`]), shared by all gradient-trained models.
 //!
@@ -47,4 +47,4 @@ pub use scalar::{
     sq_dist_accum_tiled, Scalar,
 };
 pub use solve::{invert, least_squares, solve, SolveError};
-pub use vector::{axpy, cosine_similarity, dot, l2_norm, linf_norm, mean, scale, sub};
+pub use vector::cosine_similarity;

@@ -90,8 +90,6 @@ pub trait Scalar:
     fn sqrt(self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// IEEE-754 `max` (propagates the non-NaN operand).
-    fn maxv(self, other: Self) -> Self;
     /// `clamp(self, lo, hi)` with the std float semantics.
     fn clampv(self, lo: Self, hi: Self) -> Self;
     /// `true` if neither infinite nor NaN.
@@ -187,10 +185,6 @@ impl Scalar for f64 {
         f64::abs(self)
     }
     #[inline]
-    fn maxv(self, other: Self) -> Self {
-        f64::max(self, other)
-    }
-    #[inline]
     fn clampv(self, lo: Self, hi: Self) -> Self {
         f64::clamp(self, lo, hi)
     }
@@ -281,10 +275,6 @@ impl Scalar for f32 {
     #[inline]
     fn abs(self) -> Self {
         f32::abs(self)
-    }
-    #[inline]
-    fn maxv(self, other: Self) -> Self {
-        f32::max(self, other)
     }
     #[inline]
     fn clampv(self, lo: Self, hi: Self) -> Self {

@@ -1,70 +1,17 @@
-//! Free-standing vector kernels, generic over element precision.
+//! The cosine-similarity kernel behind the framework's nonconformity
+//! measure (`1 - cos(x, x̂)`, paper §IV-D), generic over element precision.
 //!
-//! These are the primitives behind every nonconformity measure in the
-//! framework: the cosine-similarity score (`1 - cos(x, x̂)`, paper §IV-D)
-//! reduces to [`dot`] and [`l2_norm`], and the μ/σ-Change drift detector
-//! compares mean feature vectors with [`sub`] + norms.
-//!
-//! Unlike the [`Matrix`](crate::Matrix) GEMM kernels, these reductions stay
-//! deliberately *naive* (single sequential accumulator): every f64 cosine
-//! nonconformity in the committed evaluation artifacts was produced by this
-//! exact operation order, so a laned rewrite here would silently change
-//! every anomaly score. The f32 instantiations inherit the same order.
+//! Unlike the [`Matrix`](crate::Matrix) GEMM kernels, its reductions stay
+//! deliberately *naive*: each one adds its terms into one accumulator in
+//! ascending index order. Every f64 cosine nonconformity in the committed
+//! evaluation artifacts was produced by this exact operation order, so a
+//! laned rewrite here would silently change every anomaly score.
+//! [`cosine_similarity`] fuses its three reductions (`‖a‖²`, `‖b‖²`, `a·b`)
+//! into one loop with three independent accumulators, each still added in
+//! that pinned order, so the three dependency chains overlap without
+//! changing a bit. The f32 instantiation inherits the same order.
 
 use crate::scalar::Scalar;
-
-/// Dot product of two equal-length slices (sequential accumulation).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).fold(T::ZERO, |acc, (&x, &y)| acc + x * y)
-}
-
-/// Euclidean norm.
-#[inline]
-pub fn l2_norm<T: Scalar>(a: &[T]) -> T {
-    dot(a, a).sqrt()
-}
-
-/// Maximum absolute value (supremum norm).
-#[inline]
-pub fn linf_norm<T: Scalar>(a: &[T]) -> T {
-    a.iter().fold(T::ZERO, |m, v| m.maxv(v.abs()))
-}
-
-/// Arithmetic mean; `0.0` for an empty slice.
-#[inline]
-pub fn mean<T: Scalar>(a: &[T]) -> T {
-    if a.is_empty() {
-        T::ZERO
-    } else {
-        a.iter().fold(T::ZERO, |acc, &v| acc + v) / T::from_usize(a.len())
-    }
-}
-
-/// Element-wise difference `a - b` as a new vector.
-pub fn sub<T: Scalar>(a: &[T], b: &[T]) -> Vec<T> {
-    assert_eq!(a.len(), b.len(), "sub length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x - y).collect()
-}
-
-/// In-place scaling `a *= s`.
-pub fn scale<T: Scalar>(a: &mut [T], s: T) {
-    for v in a {
-        *v *= s;
-    }
-}
-
-/// In-place `y += alpha * x` (the BLAS `axpy` kernel).
-pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
 
 /// Cosine similarity between two vectors.
 ///
@@ -74,60 +21,29 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 /// rather than a NaN that would poison downstream anomaly scores. Constant
 /// all-zero channels do occur in server-metrics corpora, so this branch is
 /// exercised in practice.
+///
+/// One pass: `‖a‖²`, `‖b‖²` and `a·b` each accumulate in ascending index
+/// order from zero, so the result is bitwise that of three separate
+/// sequential reductions.
 pub fn cosine_similarity<T: Scalar>(a: &[T], b: &[T]) -> T {
     assert_eq!(a.len(), b.len(), "cosine length mismatch");
-    let na = l2_norm(a);
-    let nb = l2_norm(b);
+    let (mut aa, mut bb, mut ab) = (T::ZERO, T::ZERO, T::ZERO);
+    for (&x, &y) in a.iter().zip(b) {
+        aa += x * x;
+        bb += y * y;
+        ab += x * y;
+    }
+    let na = aa.sqrt();
+    let nb = bb.sqrt();
     if na <= T::EPSILON || nb <= T::EPSILON {
         return T::ZERO;
     }
-    (dot(a, b) / (na * nb)).clampv(-T::ONE, T::ONE)
+    (ab / (na * nb)).clampv(-T::ONE, T::ONE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dot_orthogonal_is_zero() {
-        assert_eq!(dot(&[1.0, 0.0], &[0.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn dot_f32_orthogonal_is_zero() {
-        assert_eq!(dot(&[1.0f32, 0.0], &[0.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn l2_norm_pythagoras() {
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linf_norm_picks_max_abs() {
-        assert_eq!(linf_norm(&[-7.0, 2.0, 6.5]), 7.0);
-    }
-
-    #[test]
-    fn mean_handles_empty() {
-        assert_eq!(mean::<f64>(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-    }
-
-    #[test]
-    fn sub_and_axpy() {
-        assert_eq!(sub(&[3.0, 1.0], &[1.0, 1.0]), vec![2.0, 0.0]);
-        let mut y = vec![1.0, 2.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, 0.0]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut a = vec![1.0, -2.0];
-        scale(&mut a, -3.0);
-        assert_eq!(a, vec![-3.0, 6.0]);
-    }
 
     #[test]
     fn cosine_identical_vectors_is_one() {
@@ -164,11 +80,5 @@ mod tests {
         let b = [0.5, -1.0, 2.0];
         let scaled: Vec<f64> = a.iter().map(|v| v * 17.0).collect();
         assert!((cosine_similarity(&a, &b) - cosine_similarity(&scaled, &b)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "dot length mismatch")]
-    fn dot_length_mismatch_panics() {
-        let _ = dot(&[1.0], &[1.0, 2.0]);
     }
 }
