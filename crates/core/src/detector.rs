@@ -13,6 +13,14 @@
 //!    score `f_t` → Task-1 training-set update (using `f_t`, which is what
 //!    ARES needs) → Task-2 drift check → optional fine-tune (one epoch, per
 //!    the Table I caption).
+//!
+//! Training is a separate phase of a step: the warm-up fit and every
+//! drift fine-tune are recorded as a pending job and run by
+//! [`Detector::train_pending`]. [`Detector::step`] and the split-step pair
+//! run it before returning; the `*_deferred` entry points leave it to the
+//! caller, so a serving layer can train many detectors concurrently. The
+//! job touches only the detector's own model and reads only its training
+//! set, which nothing changes before the next step begins.
 
 use crate::drift::DriftDetector;
 use crate::model::{ModelOutput, StreamModel};
@@ -76,6 +84,16 @@ pub struct FanoutRun {
     pub offset: usize,
 }
 
+/// A model-training job recorded by a step and run by
+/// [`Detector::train_pending`].
+#[derive(Debug, Clone, Copy)]
+enum TrainingJob {
+    /// `fit_initial` at the end of warm-up.
+    InitialFit,
+    /// One drift-triggered fine-tune session.
+    FineTune,
+}
+
 /// A complete streaming anomaly detector.
 #[derive(Clone)]
 pub struct Detector {
@@ -93,6 +111,9 @@ pub struct Detector {
     /// Split-step guard: set by a `true` [`Detector::begin_step`], cleared
     /// by [`Detector::finish_step`].
     mid_step: bool,
+    /// Training job recorded by the last step and not yet run; the next
+    /// step may not begin until [`Detector::train_pending`] has run it.
+    pending: Option<TrainingJob>,
     drift_times: Vec<usize>,
     fine_tunes: usize,
     /// Cumulative wall time spent inside the model's training entry points
@@ -133,6 +154,7 @@ impl Detector {
             t: 0,
             warmed_up: false,
             mid_step: false,
+            pending: None,
             drift_times: Vec::new(),
             fine_tunes: 0,
             train_time: std::time::Duration::ZERO,
@@ -145,6 +167,18 @@ impl Detector {
     /// # Panics
     /// Panics if `s.len() != config.channels`.
     pub fn step(&mut self, s: &[f64]) -> Option<StepOutput> {
+        let output = self.step_deferred(s);
+        self.train_pending();
+        output
+    }
+
+    /// [`Self::step`] without its training phase: a warm-up fit or drift
+    /// fine-tune the step triggers stays pending until
+    /// [`Self::train_pending`]. The returned output is already final.
+    ///
+    /// # Panics
+    /// Panics like [`Self::begin_step_deferred`].
+    pub fn step_deferred(&mut self, s: &[f64]) -> Option<StepOutput> {
         self.advance(s, None)
     }
 
@@ -170,6 +204,7 @@ impl Detector {
         out: &mut Vec<f64>,
     ) -> Option<StepOutput> {
         let output = self.advance(s, Some((bank, out)));
+        self.train_pending();
         if output.is_none() {
             out.clear();
         }
@@ -181,7 +216,7 @@ impl Detector {
         s: &[f64],
         bank: Option<(&mut ScorerBank, &mut Vec<f64>)>,
     ) -> Option<StepOutput> {
-        if !self.begin_step(s) {
+        if !self.begin_step_deferred(s) {
             return None;
         }
         let output = self.model.predict(&self.scratch);
@@ -203,10 +238,24 @@ impl Detector {
     /// `finish_step` is exactly [`Self::step`].
     ///
     /// # Panics
-    /// Panics if `s.len() != config.channels`, or when called again before
-    /// a `true` return was consumed by [`Self::finish_step`].
+    /// Panics like [`Self::begin_step_deferred`].
     pub fn begin_step(&mut self, s: &[f64]) -> bool {
+        let ready = self.begin_step_deferred(s);
+        self.train_pending();
+        ready
+    }
+
+    /// [`Self::begin_step`] without its training phase: the warm-up fit
+    /// stays pending until [`Self::train_pending`], so the model is still
+    /// unfitted when this returns on the last warm-up step.
+    ///
+    /// # Panics
+    /// Panics if `s.len() != config.channels`, when called again before a
+    /// `true` return was consumed by a finish, or while a training job is
+    /// pending.
+    pub fn begin_step_deferred(&mut self, s: &[f64]) -> bool {
         assert!(!self.mid_step, "begin_step called twice without finish_step");
+        assert!(self.pending.is_none(), "begin_step called with a training job pending");
         self.t += 1;
         let has_x = self.repr.push_into(s, &mut self.scratch);
 
@@ -223,9 +272,7 @@ impl Detector {
                 }
             }
             if self.t >= self.config.warmup {
-                let started = std::time::Instant::now();
-                self.model.fit_initial(self.strategy.training_set(), self.config.initial_epochs);
-                self.train_time += started.elapsed();
+                self.pending = Some(TrainingJob::InitialFit);
                 self.drift.on_fine_tune(self.strategy.training_set());
                 self.warmed_up = true;
                 self.telemetry.on_warmup_complete();
@@ -256,7 +303,42 @@ impl Detector {
     /// # Panics
     /// Panics if no step is in progress.
     pub fn finish_step(&mut self, output: &ModelOutput) -> StepOutput {
+        let step = self.finish_step_deferred(output);
+        self.train_pending();
+        step
+    }
+
+    /// [`Self::finish_step`] without its training phase: a drift
+    /// fine-tune stays pending until [`Self::train_pending`]. The returned
+    /// output (including `fine_tuned`) is already final.
+    ///
+    /// # Panics
+    /// Panics if no step is in progress.
+    pub fn finish_step_deferred(&mut self, output: &ModelOutput) -> StepOutput {
         self.finish_step_banked(output, None)
+    }
+
+    /// Runs the training job the last step recorded, if any: the initial
+    /// fit at the end of warm-up or a drift fine-tune session. Its wall
+    /// time goes to [`Self::train_time`].
+    pub fn train_pending(&mut self) {
+        let Some(job) = self.pending.take() else { return };
+        let started = std::time::Instant::now();
+        let train = self.strategy.training_set();
+        match job {
+            TrainingJob::InitialFit => self.model.fit_initial(train, self.config.initial_epochs),
+            TrainingJob::FineTune => {
+                for _ in 0..self.config.fine_tune_epochs {
+                    self.model.fine_tune(train);
+                }
+            }
+        }
+        self.train_time += started.elapsed();
+    }
+
+    /// Whether a training job is waiting for [`Self::train_pending`].
+    pub fn has_pending_training(&self) -> bool {
+        self.pending.is_some()
     }
 
     fn finish_step_banked(
@@ -282,17 +364,13 @@ impl Detector {
         if drift {
             self.drift_times.push(t);
             self.telemetry.on_drift();
-            let started = std::time::Instant::now();
-            for _ in 0..self.config.fine_tune_epochs {
-                self.model.fine_tune(self.strategy.training_set());
-            }
-            self.train_time += started.elapsed();
             // Re-anchor the drift reference even when the model is frozen
             // (fine_tune_epochs = 0), so a frozen fork doesn't fire every
             // step after the first drift.
             self.drift.on_fine_tune(self.strategy.training_set());
             fine_tuned = self.config.fine_tune_epochs > 0;
             if fine_tuned {
+                self.pending = Some(TrainingJob::FineTune);
                 self.fine_tunes += 1;
                 self.telemetry.on_fine_tune();
             }
@@ -441,7 +519,8 @@ impl Detector {
         self.t
     }
 
-    /// The embedded model (e.g. to inspect it in experiments).
+    /// The embedded model (e.g. to inspect it in experiments). While a
+    /// deferred training job is pending this is the model before that job.
     pub fn model(&self) -> &dyn StreamModel {
         self.model.as_ref()
     }
@@ -622,6 +701,7 @@ impl SharedWarmup {
             t: self.t,
             warmed_up: self.warmed_up,
             mid_step: false,
+            pending: None,
             drift_times: Vec::new(),
             fine_tunes: 0,
             train_time: self.train_time,
@@ -1078,6 +1158,141 @@ mod tests {
         }
         assert_eq!(whole.drift_times(), split.drift_times());
         assert_eq!(whole.fine_tune_count(), split.fine_tune_count());
+    }
+
+    /// A forecaster whose every output depends on its training history:
+    /// it predicts the per-channel mean of the training windows' last
+    /// steps as of its latest fit or fine-tune, offset by the epochs run.
+    #[derive(Clone, Default)]
+    struct TrainedMean {
+        mean: Vec<f64>,
+        epochs: usize,
+    }
+
+    impl TrainedMean {
+        fn learn(&mut self, train: &[FeatureVector]) {
+            let channels = train[0].last_step().len();
+            self.mean = (0..channels)
+                .map(|j| train.iter().map(|x| x.last_step()[j]).sum::<f64>() / train.len() as f64)
+                .collect();
+        }
+    }
+
+    impl StreamModel for TrainedMean {
+        fn name(&self) -> &'static str {
+            "TrainedMean"
+        }
+
+        fn predict(&mut self, _x: &FeatureVector) -> ModelOutput {
+            assert!(!self.mean.is_empty(), "predict before the initial fit");
+            ModelOutput::Forecast(self.mean.iter().map(|m| m + self.epochs as f64 * 1e-3).collect())
+        }
+
+        fn fit_initial(&mut self, train: &[FeatureVector], epochs: usize) {
+            self.learn(train);
+            self.epochs += epochs;
+        }
+
+        fn fine_tune(&mut self, train: &[FeatureVector]) {
+            self.learn(train);
+            self.epochs += 1;
+        }
+
+        fn clone_box(&self) -> Box<dyn StreamModel> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// The deferred split step — `begin_step_deferred`, predict,
+    /// `finish_step_deferred`, then `train_pending` — reproduces `step`
+    /// bitwise, including the warm-up transition (the initial fit is the
+    /// deferred job of the last warm-up step) and every fine-tune.
+    #[test]
+    fn deferred_split_step_plus_train_pending_matches_step_bitwise() {
+        let series = smooth_series(80);
+        let config = DetectorConfig {
+            window: 4,
+            channels: 2,
+            warmup: 15,
+            initial_epochs: 2,
+            fine_tune_epochs: 1,
+        };
+        let build = || {
+            Detector::new(
+                config.clone(),
+                Box::new(TrainedMean::default()),
+                Box::new(SlidingWindowSet::new(8)),
+                Box::new(RegularInterval::new(7)),
+                Box::new(MovingAverage::new(5)),
+            )
+        };
+        let mut whole = build();
+        let mut deferred = build();
+        let mut jobs = 0;
+        for (i, s) in series.iter().enumerate() {
+            let a = whole.step(s);
+            let b = if deferred.begin_step_deferred(s) {
+                let output = deferred.model.predict(&deferred.scratch);
+                Some(deferred.finish_step_deferred(&output))
+            } else {
+                None
+            };
+            let pending = deferred.has_pending_training();
+            deferred.train_pending();
+            assert!(!deferred.has_pending_training(), "step {i}");
+            jobs += usize::from(pending);
+            if i + 1 == config.warmup {
+                assert!(pending, "the last warm-up step defers the initial fit");
+            }
+            assert_eq!(a.is_some(), b.is_some(), "step {i}");
+            if let (Some(a), Some(b)) = (a, b) {
+                assert_eq!(a.t, b.t, "step {i}");
+                assert_eq!(a.nonconformity.to_bits(), b.nonconformity.to_bits(), "step {i}");
+                assert_eq!(a.anomaly_score.to_bits(), b.anomaly_score.to_bits(), "step {i}");
+                assert_eq!(a.drift, b.drift, "step {i}");
+                assert_eq!(a.fine_tuned, b.fine_tuned, "step {i}");
+                assert_eq!(pending, b.fine_tuned, "step {i}: a fine-tune is the step's job");
+            }
+        }
+        assert_eq!(whole.drift_times(), deferred.drift_times());
+        assert_eq!(whole.fine_tune_count(), deferred.fine_tune_count());
+        assert_eq!(jobs, 1 + deferred.fine_tune_count(), "initial fit plus every fine-tune");
+        assert!(deferred.fine_tune_count() > 0, "the interval detector must fine-tune");
+    }
+
+    /// A frozen model records no job on drift: there is nothing to train.
+    #[test]
+    fn frozen_drift_defers_no_job() {
+        let config = DetectorConfig { window: 3, channels: 2, warmup: 10, initial_epochs: 1, fine_tune_epochs: 1 };
+        let mut det = Detector::new(
+            config,
+            Box::new(LastValueModel::default()),
+            Box::new(SlidingWindowSet::new(5)),
+            Box::new(RegularInterval::new(3)),
+            Box::new(RawScore),
+        );
+        det.freeze_model();
+        for s in &smooth_series(40) {
+            if let Some(out) = det.step_deferred(s) {
+                assert!(!det.has_pending_training(), "t={}", out.t);
+            }
+            det.train_pending(); // the initial fit
+        }
+        assert!(!det.drift_times().is_empty());
+        assert_eq!(det.fine_tune_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "training job pending")]
+    fn begin_step_with_pending_training_panics() {
+        let mut det = make_detector(5);
+        let series = smooth_series(10);
+        for s in &series[..4] {
+            assert!(det.step(s).is_none());
+        }
+        assert!(det.step_deferred(&series[4]).is_none());
+        assert!(det.has_pending_training(), "the last warm-up step defers the initial fit");
+        let _ = det.begin_step(&series[5]);
     }
 
     #[test]

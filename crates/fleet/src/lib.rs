@@ -23,10 +23,12 @@
 //!
 //! Cohorts are maintained exactly: parameters are only compared on
 //! *training events* (a member joins at its warm-up fit; a member is
-//! re-cohorted after any fine-tune in its group), never per step. Streams
-//! whose models never materialize a batchable network (PCB-iForest,
-//! ARIMA, kNN, …) — and every stream when `FleetConfig::batching` is off
-//! — run the plain scalar `Detector::step` path.
+//! re-cohorted after any fine-tune in its group), never per step. With
+//! f32 serving, a rebuild re-syncs only the snapshots whose leader changed
+//! or trained since the last sync. Streams whose models never materialize
+//! a batchable network (PCB-iForest, ARIMA, kNN, …) — and every stream
+//! when `FleetConfig::batching` is off — run the plain scalar
+//! `Detector::step` path (stepped deferred; see the training phase).
 //!
 //! ## Sharding
 //!
@@ -36,6 +38,23 @@
 //! (the PR 1 scoped-thread pattern). Outputs are always scattered back
 //! into stream-id order, so results are byte-identical across shard
 //! counts and parallelism settings.
+//!
+//! ## Training phase
+//!
+//! Shards step their detectors through the deferred split-step API
+//! (`Detector::step_deferred` / `finish_step_deferred`), so a warm-up fit
+//! or drift fine-tune is only *recorded* during a serve round. After the
+//! shards' rounds, [`DetectorFleet::drain_round`] runs one fleet-level
+//! training phase over every recorded job: none does nothing, one runs
+//! inline, and two or more run concurrently on
+//! `min(available_parallelism, jobs)` scoped threads pulling from one
+//! shared queue. Each job touches only its own detector, so outputs are
+//! bitwise identical to inline training at any worker count. Streams that
+//! warmed up join their arch group after the phase, in the same round.
+//!
+//! The zero-alloc contract covers rounds that train nothing — they spawn
+//! no thread and allocate nothing. Rounds with two or more jobs may spawn
+//! scoped threads and allocate; they already run the expensive path.
 //!
 //! ## Telemetry
 //!
@@ -49,6 +68,8 @@
 //! registries with the per-detector lifecycle aggregate for the
 //! Prometheus/JSON sinks. `FleetConfig::telemetry` gates only the clock
 //! reads and the queue sweep (the measured overhead knob).
+
+use std::sync::Mutex;
 
 use sad_core::{Detector, ModelOutput, StepOutput};
 use sad_models::{batch_arch_key, infer_state_equal, ArchKey, InferBatch, InferBatchF32};
@@ -163,6 +184,9 @@ pub struct FleetStats {
     pub admitted: usize,
     /// Streams retired through [`DetectorFleet::retire`].
     pub retired: usize,
+    /// Training jobs (warm-up fits plus drift fine-tunes) run by the
+    /// fleet's training phase.
+    pub training_jobs: usize,
 }
 
 /// A shard's metric registry plus the preregistered handles its hot loop
@@ -270,6 +294,35 @@ impl ShardMetrics {
     }
 }
 
+/// The fleet-level training phase's registry: folded into
+/// [`DetectorFleet::export_metrics`] next to the shard registries.
+struct TrainingMetrics {
+    reg: Registry,
+    jobs: CounterId,
+    parallel_rounds: CounterId,
+    seconds: HistogramId,
+}
+
+impl TrainingMetrics {
+    fn new() -> Self {
+        let mut reg = Registry::new();
+        let jobs = reg.register_counter(
+            "sad_fleet_training_jobs_total",
+            "Training jobs (warm-up fits plus drift fine-tunes) run by the training phase.",
+        );
+        let parallel_rounds = reg.register_counter(
+            "sad_fleet_training_parallel_rounds_total",
+            "Training phases that ran their jobs on more than one thread.",
+        );
+        let seconds = reg.register_histogram(
+            "sad_fleet_training_seconds",
+            "Wall time of each training phase that ran at least one job.",
+            Histogram::log2(1e-6, 16.0),
+        );
+        Self { reg, jobs, parallel_rounds, seconds }
+    }
+}
+
 /// Fixed-capacity ring queue of `n`-channel stream vectors. Steady-state
 /// push/pop never allocates.
 struct RingQueue {
@@ -331,20 +384,24 @@ struct StreamSlot {
 struct ArchGroup {
     arch: ArchKey,
     batch: InferBatch,
-    /// f32 weight snapshots, one per cohort (`FleetConfig::f32_infer`).
-    /// Unlike `batch` — which reads the live leader parameters and so can
-    /// be shared by the whole group — a snapshot *owns* converted weights,
-    /// so each cohort needs its own. Maintained by `rebuild_cohorts`:
-    /// existing slots are re-synced in place (allocation-free), new
-    /// cohorts get fresh snapshots, and surplus slots are dropped. Empty
-    /// when f32 serving is off.
-    f32_batches: Vec<InferBatchF32>,
+    /// f32 weight snapshots, one per cohort (`FleetConfig::f32_infer`),
+    /// each with the slot it was last synced from. Unlike `batch` — which
+    /// reads the live leader parameters and so can be shared by the whole
+    /// group — a snapshot *owns* converted weights, so each cohort needs
+    /// its own. Maintained by `rebuild_cohorts`: existing slots are
+    /// re-synced in place (allocation-free) when their leader changed or
+    /// trained, new cohorts get fresh snapshots, and surplus slots are
+    /// dropped. Empty when f32 serving is off.
+    f32_batches: Vec<(usize, InferBatchF32)>,
     /// Whether this group serves through `f32_batches`.
     f32_infer: bool,
     /// Member slot indices (shard-local).
     members: Vec<usize>,
     /// Cohort id per member (parallel to `members`).
     cohort_of: Vec<usize>,
+    /// Whether the member's weights changed since the last rebuild: it
+    /// joined or fine-tuned (parallel to `members`).
+    retrained: Vec<bool>,
     n_cohorts: usize,
     /// Set on any member's training event; cohorts are rebuilt at the
     /// start of the next round.
@@ -369,6 +426,10 @@ struct Shard {
     out_bufs: Vec<ModelOutput>,
     /// Per-slot output of the current round.
     outs: Vec<Option<StepOutput>>,
+    /// Slots whose detector recorded a training job this round, for the
+    /// fleet's training phase. Capacity covers every slot, so pushes never
+    /// allocate.
+    trainees: Vec<usize>,
     groups: Vec<ArchGroup>,
     batching: bool,
     f32_infer: bool,
@@ -383,6 +444,7 @@ impl Shard {
             slots: Vec::new(),
             out_bufs: Vec::new(),
             outs: Vec::new(),
+            trainees: Vec::new(),
             groups: Vec::new(),
             batching,
             f32_infer,
@@ -414,6 +476,7 @@ impl Shard {
         // right-sized buffer that is then reused forever.
         self.out_bufs.push(ModelOutput::Score(0.0));
         self.outs.push(None);
+        self.trainees.reserve(self.slots.len());
         self.slots.len() - 1
     }
 
@@ -436,6 +499,7 @@ impl Shard {
                 .expect("grouped slot is a member of its group");
             group.members.remove(pos);
             group.cohort_of.remove(pos);
+            group.retrained.remove(pos);
             group.dirty = true;
         }
         self.outs[slot] = None;
@@ -460,6 +524,7 @@ impl Shard {
                     f32_infer: self.f32_infer,
                     members: Vec::new(),
                     cohort_of: Vec::new(),
+                    retrained: Vec::new(),
                     n_cohorts: 0,
                     dirty: false,
                     active: Vec::new(),
@@ -482,6 +547,7 @@ impl Shard {
         }
         group.members.push(slot);
         group.cohort_of.push(0);
+        group.retrained.push(true);
         group.dirty = true;
         self.slots[slot].as_mut().expect("joining slot is live").group = Some(gi);
     }
@@ -512,12 +578,14 @@ impl Shard {
                 group.n_cohorts - 1
             });
         }
-        // f32 serving: re-sync one weight snapshot per cohort. This is the
+        // f32 serving: keep one weight snapshot per cohort. This is the
         // training-event hook — it never runs in the per-step hot path, and
         // re-syncing an existing slot is allocation-free, so steady-state
-        // rounds stay zero-alloc. Cohort ids shuffle across rebuilds;
-        // slot `c` is simply re-synced from the *new* cohort `c`'s leader
-        // (same architecture by the group invariant).
+        // rounds stay zero-alloc. Cohort ids shuffle across rebuilds, so
+        // slot `c` is re-synced from the *new* cohort `c`'s leader (same
+        // architecture by the group invariant) — unless it was last synced
+        // from that very stream and the stream has not trained since: its
+        // weights, and so the snapshot, are then unchanged.
         let mut resyncs = 0;
         if group.f32_infer {
             let capacity = group.batch.capacity();
@@ -525,18 +593,26 @@ impl Shard {
                 let leader_pos = (0..group.members.len())
                     .find(|&i| group.cohort_of[i] == c)
                     .expect("every cohort has a member");
-                let leader = live(group.members[leader_pos]).det.model();
-                if let Some(existing) = group.f32_batches.get_mut(c) {
-                    existing.refresh(leader);
-                } else {
-                    group.f32_batches.push(
+                let leader_slot = group.members[leader_pos];
+                let leader = live(leader_slot).det.model();
+                match group.f32_batches.get_mut(c) {
+                    Some((synced, _)) if *synced == leader_slot && !group.retrained[leader_pos] => {
+                        continue;
+                    }
+                    Some((synced, existing)) => {
+                        existing.refresh(leader);
+                        *synced = leader_slot;
+                    }
+                    None => group.f32_batches.push((
+                        leader_slot,
                         InferBatchF32::new(leader, capacity).expect("grouped models are batchable"),
-                    );
+                    )),
                 }
                 resyncs += 1;
             }
             group.f32_batches.truncate(group.n_cohorts);
         }
+        group.retrained.fill(false);
         group.dirty = false;
         resyncs
     }
@@ -564,29 +640,30 @@ impl Shard {
         // ---- Scalar path: ungrouped streams (warm-up, non-NN models,
         // batching disabled).
         for i in 0..self.slots.len() {
-            {
+            let trains = {
                 let Some(slot) = self.slots[i].as_mut() else { continue };
                 if slot.group.is_some() {
                     continue;
                 }
                 let Some(s) = slot.queue.front() else { continue };
-                let out = slot.det.step(s);
+                let out = slot.det.step_deferred(s);
                 slot.queue.pop_front();
                 self.outs[i] = out;
-            }
+                slot.det.has_pending_training()
+            };
             self.metrics.reg.inc(self.metrics.steps, 1);
             self.metrics.reg.inc(self.metrics.scalar_steps, 1);
-            // Batching eligibility is decided once the model has fitted
-            // (networks materialize at the warm-up fit).
-            let slot = self.slots[i].as_ref().expect("slot was live above");
-            if self.batching && !slot.eligibility_checked && slot.det.is_warmed_up() {
-                self.slots[i].as_mut().expect("slot was live above").eligibility_checked = true;
-                self.join_group(i);
+            // A stream that just warmed up is checked once the training
+            // phase has fitted it (`join_trained`).
+            if trains {
+                self.trainees.push(i);
+            } else {
+                self.check_eligibility(i);
             }
         }
 
         // ---- Batched path, one arch group at a time.
-        let Shard { slots, out_bufs, outs, groups, telemetry, metrics, .. } = self;
+        let Shard { slots, out_bufs, outs, trainees, groups, telemetry, metrics, .. } = self;
         for group in groups.iter_mut() {
             if group.dirty {
                 let resyncs = Self::rebuild_cohorts(group, slots);
@@ -626,7 +703,7 @@ impl Shard {
                 if group.f32_infer {
                     // f32 snapshot path: the cohort's own snapshot holds
                     // converted weights and scaler, so no leader is read.
-                    let batch = &mut group.f32_batches[c];
+                    let (_, batch) = &mut group.f32_batches[c];
                     batch.begin(rows);
                     for (row, &pos) in group.cohort_rows.iter().enumerate() {
                         let si = group.members[pos];
@@ -661,9 +738,11 @@ impl Shard {
                 for &pos in group.cohort_rows.iter() {
                     let si = group.members[pos];
                     let slot = slots[si].as_mut().expect("group members are live");
-                    let out = slot.det.finish_step(&out_bufs[si]);
+                    let out = slot.det.finish_step_deferred(&out_bufs[si]);
                     if out.fine_tuned {
                         group.dirty = true;
+                        group.retrained[pos] = true;
+                        trainees.push(si);
                     }
                     outs[si] = Some(out);
                     metrics.reg.inc(metrics.steps, 1);
@@ -687,6 +766,26 @@ impl Shard {
         }
     }
 
+    /// Joins `slot` to its arch group once batching eligibility can be
+    /// decided: the model has fitted (networks materialize at the warm-up
+    /// fit). Decided once per stream.
+    fn check_eligibility(&mut self, slot: usize) {
+        let s = self.slots[slot].as_mut().expect("checked slot is live");
+        if self.batching && !s.eligibility_checked && s.det.is_warmed_up() {
+            s.eligibility_checked = true;
+            self.join_group(slot);
+        }
+    }
+
+    /// After the training phase: streams whose warm-up fit just ran join
+    /// their arch group. Clears the round's trainee list.
+    fn join_trained(&mut self) {
+        for k in 0..self.trainees.len() {
+            self.check_eligibility(self.trainees[k]);
+        }
+        self.trainees.clear();
+    }
+
     /// Streams on this shard with at least one queued vector.
     fn pending(&self) -> usize {
         self.slots.iter().flatten().filter(|s| s.queue.len() > 0).count()
@@ -705,6 +804,10 @@ impl Shard {
 pub struct DetectorFleet {
     shards: Vec<Shard>,
     config: FleetConfig,
+    /// Worker threads the training phase may use: the host's available
+    /// parallelism (cgroup quota and CPU affinity included), read once.
+    train_workers: usize,
+    training: TrainingMetrics,
     /// Stream id → (shard, slot); `None` once the stream is retired.
     /// Fleets built by [`DetectorFleet::new`] lay ids out round-robin
     /// (`id % shards`, `id / shards`) — this table generalizes that
@@ -744,7 +847,8 @@ impl DetectorFleet {
                 Shard::new(config.batching, config.batching && config.f32_infer, config.telemetry)
             })
             .collect();
-        Self { shards, config, addr: Vec::new() }
+        let train_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self { shards, config, train_workers, training: TrainingMetrics::new(), addr: Vec::new() }
     }
 
     /// Admits a new stream: the detector lands on the shard with the
@@ -856,10 +960,11 @@ impl DetectorFleet {
     }
 
     /// Drains one round: every stream with queued input advances exactly
-    /// one step. `out` is resized to one entry per stream (stream-id
-    /// order); `out[i]` is `Some` iff stream `i` consumed a vector *and*
-    /// is past warm-up — exactly `Detector::step`'s contract. Returns the
-    /// number of vectors consumed.
+    /// one step, then the training phase runs the round's warm-up fits and
+    /// fine-tunes (see the crate docs). `out` is resized to one entry per
+    /// stream (stream-id order); `out[i]` is `Some` iff stream `i` consumed
+    /// a vector *and* is past warm-up — exactly `Detector::step`'s
+    /// contract. Returns the number of vectors consumed.
     pub fn drain_round(&mut self, out: &mut Vec<Option<StepOutput>>) -> usize {
         out.resize(self.addr.len(), None);
         for o in out.iter_mut() {
@@ -879,6 +984,7 @@ impl DetectorFleet {
                 shard.round();
             }
         }
+        self.train();
 
         // Scatter shard-local outputs back into stream-id order.
         for shard in &self.shards {
@@ -889,6 +995,51 @@ impl DetectorFleet {
             }
         }
         consumed
+    }
+
+    /// The training phase: runs every job the shards' rounds recorded, one
+    /// job per detector, then lets freshly fitted streams join their arch
+    /// groups. Workers pull jobs from one shared queue, because an initial
+    /// fit costs `initial_epochs` fine-tunes.
+    fn train(&mut self) {
+        let jobs: usize = self.shards.iter().map(|s| s.trainees.len()).sum();
+        if jobs == 0 {
+            return;
+        }
+        let started = self.config.telemetry.then(std::time::Instant::now);
+        let workers = self.train_workers.min(jobs);
+        let queue = Mutex::new(
+            self.shards
+                .iter_mut()
+                .flat_map(|shard| shard.slots.iter_mut().flatten())
+                .map(|slot| &mut slot.det)
+                .filter(|det| det.has_pending_training()),
+        );
+        let work = || loop {
+            let next = queue.lock().expect("a training worker panicked").next();
+            let Some(det) = next else { break };
+            det.train_pending();
+        };
+        if workers == 1 {
+            work();
+        } else {
+            // The calling thread is one of the workers.
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(work);
+                }
+                work();
+            });
+            self.training.reg.inc(self.training.parallel_rounds, 1);
+        }
+        for shard in &mut self.shards {
+            shard.join_trained();
+        }
+        let t = &mut self.training;
+        t.reg.inc(t.jobs, jobs as u64);
+        if let Some(started) = started {
+            t.reg.record(t.seconds, started.elapsed().as_secs_f64());
+        }
     }
 
     /// Convenience driver: streams `series[i]` into stream `i` and
@@ -947,6 +1098,7 @@ impl DetectorFleet {
             total.admitted += m.reg.counter(m.admitted) as usize;
             total.retired += m.reg.counter(m.retired) as usize;
         }
+        total.training_jobs = self.training.reg.counter(self.training.jobs) as usize;
         total
     }
 
@@ -954,7 +1106,8 @@ impl DetectorFleet {
     /// registries folded together (counters add, the queue high-water
     /// gauge takes the max, latency/batch-width histograms merge
     /// bucket-wise), the aggregated per-detector lifecycle registries, and
-    /// two fleet-shape gauges (`sad_fleet_streams`, `sad_fleet_shards`).
+    /// two fleet-shape gauges (`sad_fleet_streams`, `sad_fleet_shards`), and
+    /// the training phase's job counters and wall-time histogram.
     /// Allocates — export path only, never called from `drain_round`.
     pub fn export_metrics(&self) -> Registry {
         let mut reg = self.shards[0].metrics.reg.clone();
@@ -965,6 +1118,7 @@ impl DetectorFleet {
         reg.set_gauge(streams, self.live() as f64);
         let shards = reg.register_gauge("sad_fleet_shards", "Worker shards.");
         reg.set_gauge(shards, self.shards.len() as f64);
+        reg.absorb(&self.training.reg);
 
         // Detector lifecycle aggregate: every live detector's snapshot
         // shares one schema, so they fold into a single population

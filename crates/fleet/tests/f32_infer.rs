@@ -139,6 +139,32 @@ fn f32_infer_agrees_with_f64_on_mixed_fleet() {
     assert_eq!(f32_stats.cohort_rebuilds, f64_stats.cohort_rebuilds);
 }
 
+/// A cohort rebuild re-syncs only the snapshots whose weights changed:
+/// two AE streams of different seeds are two one-row cohorts, so after
+/// the two initial snapshots each fine-tune costs exactly one re-sync —
+/// not one per cohort per rebuild — and scores still agree with f64.
+#[test]
+fn rebuilds_resync_only_the_snapshots_that_trained() {
+    let data = [series(180, 0.0, Some(110)), series(180, 1.3, None)];
+    let run = |f32_infer: bool| {
+        let dets = vec![detector(6, "AE", 7), detector(6, "AE", 9)];
+        let config = FleetConfig { f32_infer, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::new(dets, config);
+        let traces = fleet.run(&data);
+        (traces, fleet)
+    };
+    let (f64_traces, _) = run(false);
+    let (f32_traces, fleet) = run(true);
+    for i in 0..2 {
+        assert_scores_close(&f32_traces[i], &f64_traces[i], &format!("stream {i}"));
+    }
+    let fine_tunes = fleet.detector(0).fine_tune_count() + fleet.detector(1).fine_tune_count();
+    assert!(fine_tunes > 0, "the level shift must fine-tune");
+    let stats = fleet.stats();
+    assert_eq!(stats.f32_resyncs, 2 + fine_tunes, "{stats:?}");
+    assert!(stats.f32_resyncs < 2 * stats.cohort_rebuilds, "rebuilds skip clean snapshots: {stats:?}");
+}
+
 /// Scores must not be *identical* either — an f32 path that bitwise equals
 /// f64 on every step would mean the snapshot path silently isn't running.
 #[test]

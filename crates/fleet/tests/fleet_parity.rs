@@ -175,6 +175,74 @@ fn cohort_twins_amortize_forward_passes() {
     );
 }
 
+/// The fleet's training phase: every stream below warms up in the same
+/// round (five initial fits in one phase), and the same level shift makes
+/// several streams fine-tune in the same rounds (the seed twins always
+/// do). At 1 and 2 shards, drained serially or in parallel, the phase —
+/// inline or on several workers, whatever the host offers — must leave
+/// every stream bitwise equal to a standalone detector, and its job
+/// counter must equal warm-ups plus fine-tunes.
+#[test]
+fn concurrent_training_phase_matches_standalone_detectors() {
+    let streams = vec![
+        (6, "AE", 7, series(170, 0.0, Some(100))),
+        (6, "AE", 7, series(170, 0.0, Some(100))), // fine-tunes with stream 0
+        (6, "AE", 9, series(170, 0.0, Some(100))),
+        (12, "USAD", 5, series(170, 0.0, Some(100))),
+        (24, "PCB-iForest", 3, series(170, 0.0, Some(100))),
+    ];
+    let fleet_series: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
+    let mut references = Vec::new();
+    for &(idx, expect, seed, ref data) in &streams {
+        let mut det = detector(idx, expect, seed);
+        let trace = det.run(data);
+        references.push((trace, det));
+    }
+    let fine_tunes: usize = references.iter().map(|(_, d)| d.fine_tune_count()).sum();
+    let shared_round = (0..references[0].0.len()).any(|k| {
+        references.iter().filter(|(trace, _)| trace.get(k).is_some_and(|o| o.fine_tuned)).count()
+            >= 2
+    });
+    assert!(shared_round, "two streams must fine-tune in the same round");
+    let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+
+    for shards in [1usize, 2] {
+        for parallel in [false, true] {
+            let label = format!("shards={shards} parallel={parallel}");
+            let dets: Vec<Detector> =
+                streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
+            let config = FleetConfig { shards, parallel, queue_capacity: 4, ..FleetConfig::default() };
+            let mut fleet = DetectorFleet::new(dets, config);
+            let traces = fleet.run(&fleet_series);
+            for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
+                let stream = format!("{label} stream {i}");
+                assert_traces_identical(&traces[i], ref_trace, &stream);
+                let det = fleet.detector(i);
+                assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
+                assert_eq!(
+                    det.fine_tune_count(),
+                    ref_det.fine_tune_count(),
+                    "{stream}: fine-tune count",
+                );
+            }
+            let stats = fleet.stats();
+            assert_eq!(stats.training_jobs, streams.len() + fine_tunes, "{label}: {stats:?}");
+            let reg = fleet.export_metrics();
+            assert_eq!(
+                reg.counter_by_name("sad_fleet_training_jobs_total"),
+                Some(stats.training_jobs as u64),
+                "{label}",
+            );
+            let phases = reg.histogram_by_name("sad_fleet_training_seconds").unwrap().count();
+            assert!(phases > 0 && phases < stats.training_jobs as u64, "{label}: {phases} phases");
+            let parallel_rounds =
+                reg.counter_by_name("sad_fleet_training_parallel_rounds_total").unwrap();
+            assert!(parallel_rounds <= phases, "{label}");
+            assert_eq!(parallel_rounds > 0, multi_core, "{label}: worker path follows the host");
+        }
+    }
+}
+
 mod props {
     use super::*;
     use proptest::prelude::*;

@@ -696,7 +696,7 @@ fn run_fleet(args: &Args, spec: AlgorithmSpec, series: &LabeledSeries, n: usize)
         "served {} detector steps: {} batched rows in {} shared passes ({} f32), {} scalar",
         stats.steps, stats.batched_rows, stats.batches, stats.f32_rows, stats.scalar_steps,
     );
-    println!("cohort rebuilds: {}", stats.cohort_rebuilds);
+    println!("cohort rebuilds: {}, training jobs: {}", stats.cohort_rebuilds, stats.training_jobs);
     println!("throughput: {:.0} steps/s over {} rounds", steps_per_sec, latency.count());
     println!(
         "round latency: p50 {:.1} us, p99 {:.1} us",
