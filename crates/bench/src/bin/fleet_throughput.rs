@@ -95,17 +95,6 @@ struct ModeResult {
     stats: FleetStats,
 }
 
-/// Round-latency histogram: log-scale from 1 µs to 16 s at quarter-octave
-/// resolution (bounds grow by 2^¼ ≈ 19% — fine enough that interpolated
-/// p50/p99 track the exact sorted-sample percentiles closely).
-fn latency_histogram() -> Histogram {
-    let mut bounds = vec![1e-6];
-    while *bounds.last().unwrap() < 16.0 {
-        bounds.push(bounds.last().unwrap() * std::f64::consts::SQRT_2.sqrt());
-    }
-    Histogram::new(bounds)
-}
-
 /// Serves `rounds` timed rounds (after untimed warm-up + settling) on a
 /// fresh fleet of `n` identically-seeded detectors.
 fn serve(n: usize, mode: Mode, rounds: usize, telemetry: bool) -> ModeResult {
@@ -135,7 +124,7 @@ fn serve(n: usize, mode: Mode, rounds: usize, telemetry: bool) -> ModeResult {
     }
     let settled = fleet.stats();
 
-    let mut latency = latency_histogram();
+    let mut latency = Histogram::latency();
     let timed = Instant::now();
     for _ in 0..rounds {
         stream_vector(t, &mut buf);

@@ -3,8 +3,8 @@
 //! Each grid run can be serialized to a small JSON file (e.g.
 //! `bench_output/table3_timing.json`) holding total wall time, worker
 //! count, and per-cell times — a perf trajectory for future PRs to
-//! regress against. Written by hand with only `std` (the vendored serde
-//! stand-in has no data format).
+//! regress against. Written by hand with only `std` (the workspace has no
+//! serialization dependency).
 
 use std::io::Write;
 use std::path::Path;

@@ -1,9 +1,7 @@
 //! Labelled multivariate time series containers.
 
-use serde::{Deserialize, Serialize};
-
 /// One multivariate series with point-wise anomaly labels.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledSeries {
     /// Series identifier (e.g. `"S03R01E0-like"`).
     pub name: String,
@@ -75,7 +73,7 @@ impl LabeledSeries {
 }
 
 /// A named collection of labelled series (one benchmark corpus).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Corpus {
     /// Corpus name (`"daphnet-like"`, …).
     pub name: String,

@@ -13,13 +13,16 @@
 //! Inside a group, streams whose models are **bitwise-identical in every
 //! parameter `predict` reads** (`sad_models::infer_state_equal`) form a
 //! *cohort*; each cohort's per-step feature windows are packed into one
-//! row-major matrix and pushed through a single `Mlp::forward_batch` per
-//! sub-network via a shared inference workspace
+//! row-major matrix and pushed through a single batched forward pass per
+//! sub-network via the group's shared inference workspaces
 //! (`sad_models::InferBatch`), amortizing inference the way the training
-//! workspace amortizes fine-tuning. `forward_batch` computes every output
-//! row independently and identically to `Mlp::infer`, so the batched path
-//! is bitwise identical to N scalar `Detector::step` calls — the
-//! `fleet_parity` suite proves it in the same style as `tree_parity.rs`.
+//! workspace amortizes fine-tuning. The batched layer loop computes every
+//! output row independently and identically to `Mlp::infer`, so serving
+//! from the cohort leader's live f64 parameters is bitwise identical to N
+//! scalar `Detector::step` calls — the `fleet_parity` suite proves it in
+//! the same style as `tree_parity.rs`. With `FleetConfig::f32_infer` the
+//! same loop reads each cohort's f32 snapshot
+//! (`sad_models::InferSnapshot<f32>`) instead.
 //!
 //! Cohorts are maintained exactly: parameters are only compared on
 //! *training events* (a member joins at its warm-up fit; a member is
@@ -71,9 +74,12 @@
 
 use std::sync::Mutex;
 
-use sad_core::{Detector, ModelOutput, StepOutput};
-use sad_models::{batch_arch_key, infer_state_equal, ArchKey, InferBatch, InferBatchF32};
+use sad_core::{Detector, ModelOutput, StepOutput, StreamModel};
+use sad_models::{
+    batch_arch_key, infer_state_equal, ArchKey, InferBatch, InferSnapshot, InferSource,
+};
 use sad_obs::{CounterId, GaugeId, Histogram, HistogramId, Registry};
+use sad_tensor::Scalar;
 
 /// What to do with an incoming stream vector when its bounded per-stream
 /// queue is full ([`DetectorFleet::offer`]). Every policy is accounted in
@@ -122,7 +128,8 @@ pub struct FleetConfig {
     /// Per-stream input queue capacity (stream vectors).
     pub queue_capacity: usize,
     /// Serves cohort forward passes through f32 weight snapshots
-    /// (`sad_models::InferBatchF32`) instead of the live f64 parameters.
+    /// (`sad_models::InferSnapshot<f32>`) instead of the live f64
+    /// parameters.
     /// Roughly doubles effective memory bandwidth in the memory-bound
     /// serving GEMMs; outputs agree with the f64 path to f32 relative
     /// accuracy rather than bitwise. Training, fine-tuning and the
@@ -379,22 +386,80 @@ struct StreamSlot {
     eligibility_checked: bool,
 }
 
+/// An arch group's batch buffers, shared by all its cohorts, at the
+/// shard's serving precision.
+enum GroupBatch {
+    /// Reads each cohort leader's live f64 parameters (the parity default).
+    F64(InferBatch),
+    /// Reads f32 weight snapshots (`FleetConfig::f32_infer`), one per
+    /// cohort, each with the slot it was last synced from. A snapshot owns
+    /// only converted weights — the workspaces are the group's — so
+    /// growing the group's capacity keeps every snapshot. Maintained by
+    /// `rebuild_cohorts`: existing snapshots are re-synced in place
+    /// (allocation-free) when their leader changed or trained, new cohorts
+    /// get fresh snapshots, and surplus ones are dropped.
+    F32 { batch: InferBatch<f32>, snapshots: Vec<(usize, InferSnapshot<f32>)> },
+}
+
+impl GroupBatch {
+    /// Buffers for `capacity` rows of `leader`'s architecture, or `None`
+    /// when the model is not batchable.
+    fn new(f32_infer: bool, leader: &dyn StreamModel, capacity: usize) -> Option<Self> {
+        Some(if f32_infer {
+            GroupBatch::F32 { batch: InferBatch::new(leader, capacity)?, snapshots: Vec::new() }
+        } else {
+            GroupBatch::F64(InferBatch::new(leader, capacity)?)
+        })
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            GroupBatch::F64(batch) => batch.capacity(),
+            GroupBatch::F32 { batch, .. } => batch.capacity(),
+        }
+    }
+
+    /// Re-sizes the workspaces for `capacity` rows of `leader`'s
+    /// architecture (a training-event path, never per step).
+    fn resize(&mut self, leader: &dyn StreamModel, capacity: usize) {
+        const BATCHABLE: &str = "grouped arch stays batchable";
+        match self {
+            GroupBatch::F64(batch) => *batch = InferBatch::new(leader, capacity).expect(BATCHABLE),
+            GroupBatch::F32 { batch, .. } => {
+                *batch = InferBatch::new(leader, capacity).expect(BATCHABLE);
+            }
+        }
+    }
+}
+
+/// Packs, forwards and emits one cohort's rows (`cohort_rows`, positions
+/// into `members`) through `src`, scattering into each row's output
+/// buffer. The one serving loop of both precisions.
+fn infer_cohort<T: Scalar, S: InferSource<T> + ?Sized>(
+    batch: &mut InferBatch<T>,
+    src: &S,
+    cohort_rows: &[usize],
+    members: &[usize],
+    slots: &[Option<StreamSlot>],
+    out_bufs: &mut [ModelOutput],
+) {
+    let feature =
+        |pos: usize| slots[members[pos]].as_ref().expect("group members are live").det.feature();
+    batch.begin(cohort_rows.len());
+    for (row, &pos) in cohort_rows.iter().enumerate() {
+        batch.pack(src, row, feature(pos));
+    }
+    batch.forward(src);
+    for (row, &pos) in cohort_rows.iter().enumerate() {
+        batch.emit_into(src, row, &mut out_bufs[members[pos]]);
+    }
+}
+
 /// One arch group: streams sharing a batchable architecture, partitioned
 /// into weight-identical cohorts.
 struct ArchGroup {
     arch: ArchKey,
-    batch: InferBatch,
-    /// f32 weight snapshots, one per cohort (`FleetConfig::f32_infer`),
-    /// each with the slot it was last synced from. Unlike `batch` — which
-    /// reads the live leader parameters and so can be shared by the whole
-    /// group — a snapshot *owns* converted weights, so each cohort needs
-    /// its own. Maintained by `rebuild_cohorts`: existing slots are
-    /// re-synced in place (allocation-free) when their leader changed or
-    /// trained, new cohorts get fresh snapshots, and surplus slots are
-    /// dropped. Empty when f32 serving is off.
-    f32_batches: Vec<(usize, InferBatchF32)>,
-    /// Whether this group serves through `f32_batches`.
-    f32_infer: bool,
+    batch: GroupBatch,
     /// Member slot indices (shard-local).
     members: Vec<usize>,
     /// Cohort id per member (parallel to `members`).
@@ -516,12 +581,12 @@ impl Shard {
             Some(gi) => gi,
             None => {
                 let capacity = self.slots.len();
-                let Some(batch) = InferBatch::new(det.model(), capacity) else { return };
+                let Some(batch) = GroupBatch::new(self.f32_infer, det.model(), capacity) else {
+                    return;
+                };
                 self.groups.push(ArchGroup {
                     arch,
                     batch,
-                    f32_batches: Vec::new(),
-                    f32_infer: self.f32_infer,
                     members: Vec::new(),
                     cohort_of: Vec::new(),
                     retrained: Vec::new(),
@@ -535,15 +600,12 @@ impl Shard {
         };
         let group = &mut self.groups[gi];
         // Dynamic admission can grow a shard past the capacity the group's
-        // shared workspace was sized for at creation; grow it here (a
-        // training-event path, never per step). The f32 snapshots are
-        // capacity-bound too — drop them and let the dirty rebuild below
-        // recreate right-sized ones.
+        // shared workspaces were sized for at creation; grow them here (a
+        // training-event path, never per step). f32 snapshots hold no
+        // per-row state, so they are kept.
         if group.members.len() + 1 > group.batch.capacity() {
             let capacity = self.slots.len().max(group.members.len() + 1);
-            group.batch =
-                InferBatch::new(det.model(), capacity).expect("grouped arch stays batchable");
-            group.f32_batches.clear();
+            group.batch.resize(det.model(), capacity);
         }
         group.members.push(slot);
         group.cohort_of.push(0);
@@ -587,15 +649,14 @@ impl Shard {
         // from that very stream and the stream has not trained since: its
         // weights, and so the snapshot, are then unchanged.
         let mut resyncs = 0;
-        if group.f32_infer {
-            let capacity = group.batch.capacity();
+        if let GroupBatch::F32 { snapshots, .. } = &mut group.batch {
             for c in 0..group.n_cohorts {
                 let leader_pos = (0..group.members.len())
                     .find(|&i| group.cohort_of[i] == c)
                     .expect("every cohort has a member");
                 let leader_slot = group.members[leader_pos];
                 let leader = live(leader_slot).det.model();
-                match group.f32_batches.get_mut(c) {
+                match snapshots.get_mut(c) {
                     Some((synced, _)) if *synced == leader_slot && !group.retrained[leader_pos] => {
                         continue;
                     }
@@ -603,14 +664,14 @@ impl Shard {
                         existing.refresh(leader);
                         *synced = leader_slot;
                     }
-                    None => group.f32_batches.push((
+                    None => snapshots.push((
                         leader_slot,
-                        InferBatchF32::new(leader, capacity).expect("grouped models are batchable"),
+                        InferSnapshot::new(leader).expect("grouped models are batchable"),
                     )),
                 }
                 resyncs += 1;
             }
-            group.f32_batches.truncate(group.n_cohorts);
+            snapshots.truncate(group.n_cohorts);
         }
         group.retrained.fill(false);
         group.dirty = false;
@@ -699,40 +760,17 @@ impl Shard {
                 // fine-tune inside finish must not be able to perturb a
                 // sibling's emit (it can't — fine-tunes never refit the
                 // scaler — but the ordering makes parity unconditional).
-                let live = |si: usize| slots[si].as_ref().expect("group members are live");
-                if group.f32_infer {
-                    // f32 snapshot path: the cohort's own snapshot holds
-                    // converted weights and scaler, so no leader is read.
-                    let (_, batch) = &mut group.f32_batches[c];
-                    batch.begin(rows);
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        batch.pack(row, live(si).det.feature());
+                let (cohort_rows, members) = (&group.cohort_rows, &group.members);
+                match &mut group.batch {
+                    GroupBatch::F64(batch) => {
+                        let leader =
+                            slots[leader_slot].as_ref().expect("leader is live").det.model();
+                        infer_cohort(batch, leader, cohort_rows, members, slots, out_bufs);
                     }
-                    batch.forward();
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        batch.emit_into(row, &mut out_bufs[si]);
-                    }
-                    metrics.reg.inc(metrics.f32_rows, rows as u64);
-                } else {
-                    group.batch.begin(rows);
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        group.batch.pack(
-                            live(leader_slot).det.model(),
-                            row,
-                            live(si).det.feature(),
-                        );
-                    }
-                    group.batch.forward(live(leader_slot).det.model());
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        group.batch.emit_into(
-                            live(leader_slot).det.model(),
-                            row,
-                            &mut out_bufs[si],
-                        );
+                    GroupBatch::F32 { batch, snapshots } => {
+                        let snapshot = &snapshots[c].1;
+                        infer_cohort(batch, snapshot, cohort_rows, members, slots, out_bufs);
+                        metrics.reg.inc(metrics.f32_rows, rows as u64);
                     }
                 }
                 for &pos in group.cohort_rows.iter() {

@@ -185,3 +185,85 @@ fn f32_infer_actually_runs_in_reduced_precision() {
         "f32 serving must produce f32-rounded scores, not the f64 bits",
     );
 }
+
+/// FNV-1a over the bits of every nonconformity and anomaly score, in
+/// stream then step order.
+fn score_bits_hash(traces: &[Vec<StepOutput>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for trace in traces {
+        for o in trace {
+            for v in [o.nonconformity, o.anomaly_score] {
+                for byte in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    h
+}
+
+/// Tolerance pins f32 serving against f64; this pins it against itself.
+/// Every score bit of the mixed-fleet f32 run hashes to the value the
+/// original per-cohort f32 engine produced, so a change to the snapshot
+/// conversion, the f32 layer loop or the scaler arithmetic shows up here
+/// even when it stays inside the tolerance.
+#[test]
+fn f32_infer_scores_match_golden_bits() {
+    let streams = mixed_streams();
+    let fleet_series: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
+    let dets: Vec<Detector> =
+        streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
+    let config = FleetConfig { f32_infer: true, ..FleetConfig::default() };
+    let traces = DetectorFleet::new(dets, config).run(&fleet_series);
+    let hash = score_bits_hash(&traces);
+    assert_eq!(hash, 0xc3c4_23d8_1918_f971, "f32 score bits changed: {hash:#018x}");
+}
+
+/// Dynamic admission that grows a shard past its arch group's capacity
+/// re-sizes the group's workspaces but keeps every f32 snapshot: the
+/// first stream's snapshot survives the growth and only the newcomer's
+/// cohort syncs. Frozen models never fine-tune, so every resync counted
+/// is a snapshot built for a new or changed cohort.
+#[test]
+fn admission_growth_keeps_existing_snapshots() {
+    let data = [series(200, 0.0, None), series(200, 1.3, None)];
+    let frozen = |seed: u64| {
+        let mut det = detector(6, "AE", seed);
+        det.freeze_model();
+        det
+    };
+    let run = |f32_infer: bool| {
+        let config = FleetConfig { shards: 1, f32_infer, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::open(config);
+        fleet.admit(frozen(7));
+        let mut traces = vec![Vec::new(), Vec::new()];
+        let mut out = Vec::new();
+        for t in 0..data[0].len() {
+            // The second stream arrives after the first has formed its
+            // group, sized for the one stream then on the shard.
+            if t == 80 {
+                fleet.admit(frozen(9));
+            }
+            for (i, s) in data.iter().enumerate().take(fleet.len()) {
+                assert!(fleet.enqueue(i, &s[t]));
+            }
+            fleet.drain_round(&mut out);
+            for (trace, o) in traces.iter_mut().zip(&out) {
+                trace.extend(*o);
+            }
+        }
+        (traces, fleet)
+    };
+    let (f64_traces, _) = run(false);
+    let (f32_traces, fleet) = run(true);
+    for i in 0..2 {
+        assert!(!f32_traces[i].is_empty(), "stream {i} served");
+        assert_scores_close(&f32_traces[i], &f64_traces[i], &format!("stream {i}"));
+        assert_eq!(fleet.detector(i).fine_tune_count(), 0, "frozen stream {i}");
+    }
+    let stats = fleet.stats();
+    assert_eq!(stats.f32_rows, stats.batched_rows, "{stats:?}");
+    assert!(stats.cohort_rebuilds >= 2, "the newcomer rebuilt the grown group: {stats:?}");
+    assert_eq!(stats.f32_resyncs, 2, "one snapshot per stream, none rebuilt: {stats:?}");
+}

@@ -3,16 +3,16 @@
 //! Extends the counting-allocator pattern of `sad-core/tests/zero_alloc.rs`
 //! to the serving layer: once a cohort has formed and every reusable
 //! buffer has reached its steady-state capacity, a full serving round —
-//! per-stream `enqueue` into the ring queues, batch packing via
-//! `transform_into`, the shared `forward_batch`, `emit_into` scatter into
-//! the reused output buffers, and `finish_step` — must not allocate at
-//! all on a drift-free stream.
+//! per-stream `enqueue` into the ring queues, batch packing through the
+//! scaler, the shared batched forward pass, `emit_into` scatter into the
+//! reused output buffers, and `finish_step` — must not allocate at all on
+//! a drift-free stream.
 //!
 //! Unlike the core guard (which pins the framework under a heap-free
 //! stand-in model), this one runs a real 2-layer AE: the batched
 //! inference path is exactly what makes the NN predict step heap-free —
 //! the scalar `predict` builds its scaled/inverse vectors per call, while
-//! `InferBatch` owns them once per cohort.
+//! `InferBatch` owns them once per arch group.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -156,10 +156,10 @@ fn steady_state_fleet_round_is_allocation_free() {
     assert_eq!(stats.cohort_rebuilds, settled.cohort_rebuilds, "no training events while armed");
 }
 
-/// Same guard for the f32 snapshot path (`FleetConfig::f32_infer`): the
-/// per-cohort `InferBatchF32` owns every converted buffer, so a
-/// steady-state round — f32 pack, snapshot `forward_batch`, widening
-/// emit — must not allocate either.
+/// Same guard for the f32 snapshot path (`FleetConfig::f32_infer`): each
+/// cohort's `InferSnapshot<f32>` owns its converted weights and the arch
+/// group's `InferBatch<f32>` every buffer, so a steady-state round — f32
+/// pack, snapshot forward, widening emit — must not allocate either.
 #[test]
 fn steady_state_f32_fleet_round_is_allocation_free() {
     let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();

@@ -249,4 +249,19 @@ mod tests {
         ae.fit_initial(&[], 5);
         ae.fine_tune(&[]);
     }
+
+    /// The cohort test compares the scaler statistics as well as the
+    /// network: a clone whose scaler differs leaves the cohort.
+    #[test]
+    fn scaler_divergence_breaks_infer_state_equality() {
+        let train = sine_windows(30, 8);
+        let mut a = TwoLayerAe::new(8, 5e-3, 7);
+        a.fit_initial(&train, 2);
+        let mut b = a.clone();
+        assert!(crate::infer_state_equal(&a, &b));
+        b.scaler = Some(Standardizer::fit(&train[..10]));
+        assert!(!crate::infer_state_equal(&a, &b), "refitted scaler");
+        b.scaler = None;
+        assert!(!crate::infer_state_equal(&a, &b), "scaled vs unscaled");
+    }
 }

@@ -26,7 +26,6 @@
 pub mod ae;
 pub mod arima;
 pub mod batch_infer;
-pub mod batch_infer_f32;
 pub mod builder;
 pub mod knn;
 pub mod nbeats;
@@ -37,8 +36,10 @@ pub mod var;
 
 pub use ae::TwoLayerAe;
 pub use arima::OnlineArima;
-pub use batch_infer::{batch_arch_key, infer_state_equal, ArchKey, ArchKind, InferBatch};
-pub use batch_infer_f32::InferBatchF32;
+pub use batch_infer::{
+    batch_arch_key, infer_state_equal, ArchKey, ArchKind, InferBatch, InferBatchF32, InferSnapshot,
+    InferSource,
+};
 pub use builder::{
     build_detector, build_model, build_scorer, build_scorer_bank, build_shared_warmup,
     build_task1, build_task2, BuildParams,
@@ -46,6 +47,6 @@ pub use builder::{
 pub use knn::KnnDistanceModel;
 pub use nbeats::{BasisKind, NBeats};
 pub use pcb::PcbIForestModel;
-pub use scaler::{MinMaxScaler, ScalerF32, Standardizer};
+pub use scaler::{MinMaxScaler, Standardizer};
 pub use usad::Usad;
 pub use var::VarModel;

@@ -86,17 +86,6 @@ impl Standardizer {
         z.iter().zip(&self.mean).zip(&self.std).map(|((&v, &m), &s)| v * s + m).collect()
     }
 
-    /// Allocation-free [`Self::inverse`]: writes the raw-unit vector into
-    /// `out` (the fleet's batched inference path scatters workspace rows
-    /// with this).
-    pub fn inverse_into(&self, z: &[f64], out: &mut [f64]) {
-        assert_eq!(z.len(), self.mean.len(), "standardizer dimension mismatch");
-        assert_eq!(out.len(), z.len(), "standardizer output length mismatch");
-        for (o, ((&v, &m), &s)) in out.iter_mut().zip(z.iter().zip(&self.mean).zip(&self.std)) {
-            *o = v * s + m;
-        }
-    }
-
     /// Standardizes only a suffix slice (used by forecasting models whose
     /// target is the last stream vector: the scaler is fit on `w·N` dims
     /// and the last `N` entries correspond to `s_t`).
@@ -119,23 +108,9 @@ impl Standardizer {
             .collect()
     }
 
-    /// Allocation-free [`Self::inverse_tail`].
-    pub fn inverse_tail_into(&self, tail: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), tail.len(), "standardizer output length mismatch");
-        let offset = self.mean.len() - tail.len();
-        for (o, ((&v, &m), &s)) in
-            out.iter_mut().zip(tail.iter().zip(&self.mean[offset..]).zip(&self.std[offset..]))
-        {
-            *o = v * s + m;
-        }
-    }
-
-    /// Bitwise equality of the fitted statistics — the scaler half of the
-    /// fleet's "identical inference state" cohort test.
-    pub fn state_equal(&self, other: &Standardizer) -> bool {
-        self.mean.len() == other.mean.len()
-            && self.mean.iter().zip(&other.mean).all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.std.iter().zip(&other.std).all(|(a, b)| a.to_bits() == b.to_bits())
+    /// The affine map's `(sub, div) = (μ, σ)`: `z = (x − μ)/σ`.
+    pub(crate) fn affine(&self) -> (&[f64], &[f64]) {
+        (&self.mean, &self.std)
     }
 }
 
@@ -203,118 +178,9 @@ impl MinMaxScaler {
         z.iter().zip(&self.min).zip(&self.range).map(|((&v, &m), &r)| v * r + m).collect()
     }
 
-    /// Allocation-free [`Self::inverse`].
-    pub fn inverse_into(&self, z: &[f64], out: &mut [f64]) {
-        assert_eq!(z.len(), self.min.len(), "scaler dimension mismatch");
-        assert_eq!(out.len(), z.len(), "scaler output length mismatch");
-        for (o, ((&v, &m), &r)) in out.iter_mut().zip(z.iter().zip(&self.min).zip(&self.range)) {
-            *o = v * r + m;
-        }
-    }
-
-    /// Bitwise equality of the fitted statistics (see
-    /// [`Standardizer::state_equal`]).
-    pub fn state_equal(&self, other: &MinMaxScaler) -> bool {
-        self.min.len() == other.min.len()
-            && self.min.iter().zip(&other.min).all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.range.iter().zip(&other.range).all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-/// f32 snapshot of a fitted scaler's affine map, for the inference-only
-/// f32 serving path.
-///
-/// Both scalers are the same shape of map — `z = (x − sub) / div` with
-/// `(sub, div) = (μ, σ)` for [`Standardizer`] and `(min, range)` for
-/// [`MinMaxScaler`] — so one snapshot type covers both. Like
-/// `sad_nn::InferPlan` it holds *converted copies*: the authoritative f64
-/// statistics stay in the owning scaler, and the snapshot is re-synced
-/// (allocation-free) on the same training-event hook that refreshes the
-/// network plans. Arithmetic here is entirely f32 on the forward side and
-/// widens back to f64 on the inverse side, matching the f64 path to f32
-/// relative accuracy.
-#[derive(Debug, Clone)]
-pub struct ScalerF32 {
-    sub: Vec<f32>,
-    div: Vec<f32>,
-}
-
-impl ScalerF32 {
-    /// Snapshots a fitted [`Standardizer`].
-    pub fn from_standardizer(s: &Standardizer) -> Self {
-        Self {
-            sub: s.mean.iter().map(|&v| v as f32).collect(),
-            div: s.std.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Snapshots a fitted [`MinMaxScaler`].
-    pub fn from_minmax(s: &MinMaxScaler) -> Self {
-        Self {
-            sub: s.min.iter().map(|&v| v as f32).collect(),
-            div: s.range.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Re-converts from a [`Standardizer`] in place — no heap allocation.
-    ///
-    /// # Panics
-    /// Panics on a dimensionality change (cohort refreshes never resize).
-    pub fn refresh_standardizer(&mut self, s: &Standardizer) {
-        self.refresh_from(&s.mean, &s.std);
-    }
-
-    /// Re-converts from a [`MinMaxScaler`] in place — no heap allocation.
-    ///
-    /// # Panics
-    /// Panics on a dimensionality change (cohort refreshes never resize).
-    pub fn refresh_minmax(&mut self, s: &MinMaxScaler) {
-        self.refresh_from(&s.min, &s.range);
-    }
-
-    fn refresh_from(&mut self, sub: &[f64], div: &[f64]) {
-        assert_eq!(self.sub.len(), sub.len(), "scaler snapshot dimension mismatch");
-        for (o, &v) in self.sub.iter_mut().zip(sub) {
-            *o = v as f32;
-        }
-        for (o, &v) in self.div.iter_mut().zip(div) {
-            *o = v as f32;
-        }
-    }
-
-    /// Dimensionality.
-    pub fn dim(&self) -> usize {
-        self.sub.len()
-    }
-
-    /// `z = (x − sub) / div`, narrowing into an f32 workspace row.
-    pub fn transform_into(&self, x: &[f64], out: &mut [f32]) {
-        assert_eq!(x.len(), self.sub.len(), "scaler snapshot dimension mismatch");
-        assert_eq!(out.len(), x.len(), "scaler snapshot output length mismatch");
-        for (o, ((&v, &m), &d)) in out.iter_mut().zip(x.iter().zip(&self.sub).zip(&self.div)) {
-            *o = (v as f32 - m) / d;
-        }
-    }
-
-    /// `x = z · div + sub`, widening back to raw f64 units.
-    pub fn inverse_into(&self, z: &[f32], out: &mut [f64]) {
-        assert_eq!(z.len(), self.sub.len(), "scaler snapshot dimension mismatch");
-        assert_eq!(out.len(), z.len(), "scaler snapshot output length mismatch");
-        for (o, ((&v, &m), &d)) in out.iter_mut().zip(z.iter().zip(&self.sub).zip(&self.div)) {
-            *o = (v * d + m) as f64;
-        }
-    }
-
-    /// Suffix variant of [`Self::inverse_into`] (see
-    /// [`Standardizer::inverse_tail_into`]).
-    pub fn inverse_tail_into(&self, tail: &[f32], out: &mut [f64]) {
-        assert_eq!(out.len(), tail.len(), "scaler snapshot output length mismatch");
-        let offset = self.sub.len() - tail.len();
-        for (o, ((&v, &m), &d)) in
-            out.iter_mut().zip(tail.iter().zip(&self.sub[offset..]).zip(&self.div[offset..]))
-        {
-            *o = (v * d + m) as f64;
-        }
+    /// The affine map's `(sub, div) = (min, range)`: `z = (x − min)/range`.
+    pub(crate) fn affine(&self) -> (&[f64], &[f64]) {
+        (&self.min, &self.range)
     }
 }
 
@@ -429,107 +295,5 @@ mod tests {
         mm.transform_into(&x, &mut out);
         assert_eq!(out.map(f64::to_bits).to_vec(),
             mm.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn inverse_into_matches_inverse_bitwise() {
-        let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
-        let z = [0.33, -1.8, 2.4];
-        let mut out = [0.0; 3];
-        let s = Standardizer::fit(&train);
-        s.inverse_into(&z, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            s.inverse(&z).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-        let mm = MinMaxScaler::fit(&train);
-        mm.inverse_into(&z, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            mm.inverse(&z).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn inverse_tail_into_matches_inverse_tail_bitwise() {
-        let train = vec![fv(&[0.0, 100.0, 7.0]), fv(&[2.0, 300.0, -1.0])];
-        let s = Standardizer::fit(&train);
-        let tail = [0.7, -0.4];
-        let mut out = [0.0; 2];
-        s.inverse_tail_into(&tail, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            s.inverse_tail(&tail).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn f32_snapshot_tracks_both_scalers_within_tolerance() {
-        let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
-        let x = [2.2, -0.7, 6.1];
-        let mut z32 = [0.0f32; 3];
-        let mut back = [0.0f64; 3];
-
-        let s = Standardizer::fit(&train);
-        let snap = ScalerF32::from_standardizer(&s);
-        assert_eq!(snap.dim(), 3);
-        snap.transform_into(&x, &mut z32);
-        for (got, want) in z32.iter().zip(s.transform(&x)) {
-            assert!((*got as f64 - want).abs() <= 1e-5 * want.abs().max(1.0));
-        }
-        snap.inverse_into(&z32, &mut back);
-        for (got, want) in back.iter().zip(&x) {
-            assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0), "{got} vs {want}");
-        }
-
-        let mm = MinMaxScaler::fit(&train);
-        let snap = ScalerF32::from_minmax(&mm);
-        snap.transform_into(&x, &mut z32);
-        for (got, want) in z32.iter().zip(mm.transform(&x)) {
-            assert!((*got as f64 - want).abs() <= 1e-5 * want.abs().max(1.0));
-        }
-        snap.inverse_into(&z32, &mut back);
-        for (got, want) in back.iter().zip(&x) {
-            assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0), "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn f32_snapshot_refresh_picks_up_new_statistics() {
-        let s1 = Standardizer::fit(&[fv(&[0.0, 10.0]), fv(&[2.0, 30.0])]);
-        let s2 = Standardizer::fit(&[fv(&[5.0, -1.0]), fv(&[9.0, 7.0])]);
-        let mut snap = ScalerF32::from_standardizer(&s1);
-        snap.refresh_standardizer(&s2);
-        let fresh = ScalerF32::from_standardizer(&s2);
-        let x = [6.5, 3.0];
-        let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-        snap.transform_into(&x, &mut a);
-        fresh.transform_into(&x, &mut b);
-        assert_eq!(a, b, "refresh must equal a from-scratch snapshot");
-    }
-
-    #[test]
-    fn f32_snapshot_tail_inverse_uses_suffix_stats() {
-        let s = Standardizer::fit(&[fv(&[0.0, 100.0]), fv(&[2.0, 300.0])]);
-        let snap = ScalerF32::from_standardizer(&s);
-        let mut out = [0.0f64; 1];
-        snap.inverse_tail_into(&[1.0f32], &mut out);
-        assert!((out[0] - 300.0).abs() < 1e-3, "{}", out[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn f32_snapshot_refresh_rejects_resize() {
-        let s1 = Standardizer::fit(&[fv(&[0.0, 1.0]), fv(&[2.0, 3.0])]);
-        let s2 = Standardizer::fit(&[fv(&[0.0]), fv(&[2.0])]);
-        let mut snap = ScalerF32::from_standardizer(&s1);
-        snap.refresh_standardizer(&s2);
-    }
-
-    #[test]
-    fn state_equal_detects_clones_and_divergence() {
-        let train = vec![fv(&[1.0, 2.0]), fv(&[4.0, -1.0]), fv(&[2.5, 0.5])];
-        let s = Standardizer::fit(&train);
-        assert!(s.state_equal(&s.clone()));
-        let other = Standardizer::fit(&train[..2]);
-        assert!(!s.state_equal(&other));
-        let mm = MinMaxScaler::fit(&train);
-        assert!(mm.state_equal(&mm.clone()));
-        let mm2 = MinMaxScaler::fit(&[fv(&[0.0, 0.0]), fv(&[9.0, 1.0])]);
-        assert!(!mm.state_equal(&mm2));
     }
 }

@@ -1,5 +1,7 @@
 //! Element-wise activation functions.
 
+use sad_tensor::Scalar;
+
 /// An element-wise activation function.
 ///
 /// The derivative is expressed *in terms of the activation output* — for
@@ -19,13 +21,16 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to a scalar.
+    /// Applies the activation to a scalar, entirely in `T` arithmetic.
+    ///
+    /// At `f64` this is the training path's activation; at `f32` it runs
+    /// the snapshot inference path with no widen/narrow round-trip.
     #[inline]
-    pub fn apply(self, x: f64) -> f64 {
+    pub fn apply<T: Scalar>(self, x: T) -> T {
         match self {
             Activation::Identity => x,
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Relu => x.max(0.0),
+            Activation::Sigmoid => T::ONE / (T::ONE + (-x).exp()),
+            Activation::Relu => x.maxv(T::ZERO),
             Activation::Tanh => x.tanh(),
         }
     }
@@ -48,30 +53,9 @@ impl Activation {
     }
 
     /// Applies the activation to a slice in place.
-    pub fn apply_slice(self, xs: &mut [f64]) {
+    pub fn apply_slice<T: Scalar>(self, xs: &mut [T]) {
         for x in xs {
             *x = self.apply(*x);
-        }
-    }
-
-    /// Applies the activation to an `f32` scalar, entirely in `f32`
-    /// arithmetic (no widen/narrow round-trip) — the inference-plan fast
-    /// path. Agrees with [`Self::apply`] to within f32 rounding; the f64
-    /// training path never calls this.
-    #[inline]
-    pub fn apply_f32(self, x: f32) -> f32 {
-        match self {
-            Activation::Identity => x,
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
-        }
-    }
-
-    /// Applies the activation to an `f32` slice in place.
-    pub fn apply_slice_f32(self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.apply_f32(*x);
         }
     }
 }

@@ -41,95 +41,46 @@
 //! The parity tests in `tests/batch_parity.rs` assert these equalities
 //! exactly (`f64::to_bits`), with no tolerances.
 
+use crate::layer::Dense;
 use crate::mlp::{Mlp, MlpGrads};
-use sad_tensor::{Matrix, Optimizer};
+use sad_tensor::{Matrix, Optimizer, Scalar};
 
-/// Reusable buffers for one network's batched forward/backward pass.
+/// Input and activation buffers for batched forward passes over one layer
+/// stack, at any precision.
 ///
-/// All matrices are allocated once for `max_batch` rows; smaller (trailing)
-/// batches shrink the logical row count via [`Matrix::resize_rows`], which
-/// stays within the original capacity and never reallocates. A workspace is
-/// tied to the layer geometry of the [`Mlp`] it was created from.
+/// This is the one batched layer loop of the crate: [`Self::forward`] runs
+/// the training forward of [`Mlp::forward_batch`], live f64 inference, and
+/// f32 snapshot inference ([`crate::InferPlan`]). All matrices are
+/// allocated once for `max_batch` rows; smaller batches shrink the logical
+/// row count via [`Matrix::resize_rows`], which stays within the original
+/// capacity and never reallocates.
 #[derive(Debug, Clone)]
-pub struct MlpWorkspace {
+pub struct ForwardWorkspace<T: Scalar = f64> {
     /// Layer widths `[in, h₁, …, out]` this workspace was shaped for.
     dims: Vec<usize>,
     max_batch: usize,
     batch: usize,
-    /// `false` for inference-only workspaces (see [`Self::inference`]):
-    /// the delta and input-gradient buffers are not allocated and
-    /// [`Mlp::backward_batch`] is rejected.
-    training: bool,
     /// `B × in_dim` network input.
-    input: Matrix,
+    input: Matrix<T>,
     /// Per layer: `B × out_dim(l)` post-activation output.
-    acts: Vec<Matrix>,
-    /// Per layer: `B × out_dim(l)` gradient buffer. During
-    /// [`Mlp::backward_batch`], `deltas[l]` first holds `∂L/∂act_l` and is
-    /// then turned into the pre-activation delta in place. The caller seeds
-    /// `deltas[last]` (via [`Self::grad_out_mut`]) with `∂L/∂ŷ`. Empty for
-    /// inference-only workspaces.
-    deltas: Vec<Matrix>,
-    /// `B × in_dim` input gradient (filled on request). `1 × in_dim` for
-    /// inference-only workspaces (never resized, never read).
-    grad_in: Matrix,
+    acts: Vec<Matrix<T>>,
 }
 
-impl MlpWorkspace {
-    /// Creates a workspace for `mlp` with room for `max_batch` rows.
-    pub fn new(mlp: &Mlp, max_batch: usize) -> Self {
+impl<T: Scalar> ForwardWorkspace<T> {
+    /// Creates a workspace for `layers` (of any precision — only their
+    /// shapes are read) with room for `max_batch` rows.
+    pub fn new<U: Scalar>(layers: &[Dense<U>], max_batch: usize) -> Self {
         assert!(max_batch > 0, "workspace needs at least one batch row");
-        let mut dims = Vec::with_capacity(mlp.layers.len() + 1);
-        dims.push(mlp.in_dim());
-        for layer in &mlp.layers {
-            dims.push(layer.out_dim());
-        }
-        let acts = dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
-        let deltas = dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
+        let mut dims = Vec::with_capacity(layers.len() + 1);
+        dims.push(layers[0].in_dim());
+        dims.extend(layers.iter().map(Dense::out_dim));
         Self {
             input: Matrix::zeros(max_batch, dims[0]),
-            grad_in: Matrix::zeros(max_batch, dims[0]),
-            acts,
-            deltas,
+            acts: dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect(),
             max_batch,
             batch: max_batch,
-            training: true,
             dims,
         }
-    }
-
-    /// Creates an **inference-only** workspace for `mlp` with room for
-    /// `max_batch` rows.
-    ///
-    /// Only the input and activation matrices are allocated — roughly half
-    /// the footprint of a training workspace — which is what a serving
-    /// layer batching inference across many streams wants.
-    /// [`Mlp::forward_batch`] behaves identically (bitwise) to a training
-    /// workspace; [`Mlp::backward_batch`] panics.
-    pub fn inference(mlp: &Mlp, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "workspace needs at least one batch row");
-        let mut dims = Vec::with_capacity(mlp.layers.len() + 1);
-        dims.push(mlp.in_dim());
-        for layer in &mlp.layers {
-            dims.push(layer.out_dim());
-        }
-        let acts = dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
-        Self {
-            input: Matrix::zeros(max_batch, dims[0]),
-            grad_in: Matrix::zeros(1, dims[0]),
-            acts,
-            deltas: Vec::new(),
-            max_batch,
-            batch: max_batch,
-            training: false,
-            dims,
-        }
-    }
-
-    /// Whether this workspace supports [`Mlp::backward_batch`] (i.e. was
-    /// created with [`Self::new`] rather than [`Self::inference`]).
-    pub fn supports_training(&self) -> bool {
-        self.training
     }
 
     /// Maximum number of rows the workspace was allocated for.
@@ -142,7 +93,7 @@ impl MlpWorkspace {
         self.batch
     }
 
-    /// Sets the logical batch size for the next forward/backward pass.
+    /// Sets the logical batch size for the next forward pass.
     ///
     /// # Panics
     /// Panics if `batch` is zero or exceeds [`Self::max_batch`] (growing
@@ -159,43 +110,144 @@ impl MlpWorkspace {
         for m in &mut self.acts {
             m.resize_rows(batch);
         }
-        if self.training {
-            self.grad_in.resize_rows(batch);
-            for m in &mut self.deltas {
-                m.resize_rows(batch);
+    }
+
+    /// The input matrix (`batch × in_dim`).
+    pub fn input(&self) -> &Matrix<T> {
+        &self.input
+    }
+
+    /// Mutable input matrix, for chaining another network's output in.
+    pub fn input_mut(&mut self) -> &mut Matrix<T> {
+        &mut self.input
+    }
+
+    /// Mutable input row `b`, for the caller to fill.
+    pub fn input_row_mut(&mut self, b: usize) -> &mut [T] {
+        self.input.row_mut(b)
+    }
+
+    /// The network output of the last forward pass (`batch × out_dim`).
+    pub fn output(&self) -> &Matrix<T> {
+        self.acts.last().expect("non-empty")
+    }
+
+    /// Output row `b` of the last forward pass.
+    pub fn output_row(&self, b: usize) -> &[T] {
+        self.output().row(b)
+    }
+
+    /// Batched forward pass of `layers` over the `batch()` input rows.
+    ///
+    /// Each layer is one `X · Wᵀ` GEMM ([`Matrix::matmul_transpose_b_into`])
+    /// followed by an in-place bias add and activation per row. Performs no
+    /// heap allocation.
+    ///
+    /// # Panics
+    /// Panics if `layers` do not have the geometry this workspace was
+    /// shaped for.
+    pub fn forward(&mut self, layers: &[Dense<T>]) {
+        self.check_geometry(layers);
+        let batch = self.batch;
+        for (l, layer) in layers.iter().enumerate() {
+            let (done, todo) = self.acts.split_at_mut(l);
+            let x = if l == 0 { &self.input } else { &done[l - 1] };
+            let act = &mut todo[0];
+            x.matmul_transpose_b_into(&layer.weights, act);
+            for b in 0..batch {
+                let row = act.row_mut(b);
+                for (o, &bias) in row.iter_mut().zip(&layer.bias) {
+                    *o += bias;
+                }
+                layer.activation.apply_slice(row);
             }
+        }
+    }
+
+    fn check_geometry(&self, layers: &[Dense<T>]) {
+        assert_eq!(self.dims.len(), layers.len() + 1, "workspace/layer count mismatch");
+        assert_eq!(self.dims[0], layers[0].in_dim(), "workspace input width mismatch");
+        for (d, layer) in self.dims[1..].iter().zip(layers) {
+            assert_eq!(*d, layer.out_dim(), "workspace layer width mismatch");
+        }
+    }
+}
+
+/// Reusable buffers for one network's batched forward/backward pass: the
+/// forward buffers plus the gradient buffers of the backward pass, all
+/// sized once. A workspace is tied to the layer geometry of the [`Mlp`]
+/// it was created from.
+#[derive(Debug, Clone)]
+pub struct MlpWorkspace {
+    fwd: ForwardWorkspace,
+    /// Per layer: `B × out_dim(l)` gradient buffer. During
+    /// [`Mlp::backward_batch`], `deltas[l]` first holds `∂L/∂act_l` and is
+    /// then turned into the pre-activation delta in place. The caller seeds
+    /// `deltas[last]` (via [`Self::grad_out_mut`]) with `∂L/∂ŷ`.
+    deltas: Vec<Matrix>,
+    /// `B × in_dim` input gradient (filled on request).
+    grad_in: Matrix,
+}
+
+impl MlpWorkspace {
+    /// Creates a workspace for `mlp` with room for `max_batch` rows.
+    pub fn new(mlp: &Mlp, max_batch: usize) -> Self {
+        let fwd = ForwardWorkspace::new(&mlp.layers, max_batch);
+        let deltas = fwd.dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
+        Self { grad_in: Matrix::zeros(max_batch, fwd.dims[0]), deltas, fwd }
+    }
+
+    /// Maximum number of rows the workspace was allocated for.
+    pub fn max_batch(&self) -> usize {
+        self.fwd.max_batch
+    }
+
+    /// Current logical batch size.
+    pub fn batch(&self) -> usize {
+        self.fwd.batch
+    }
+
+    /// Sets the logical batch size for the next forward/backward pass.
+    ///
+    /// # Panics
+    /// Panics if `batch` is zero or exceeds [`Self::max_batch`] (growing
+    /// past the allocated capacity would reallocate).
+    pub fn set_batch(&mut self, batch: usize) {
+        self.fwd.set_batch(batch);
+        self.grad_in.resize_rows(batch);
+        for m in &mut self.deltas {
+            m.resize_rows(batch);
         }
     }
 
     /// The input matrix (`batch × in_dim`).
     pub fn input(&self) -> &Matrix {
-        &self.input
+        self.fwd.input()
     }
 
     /// Mutable input matrix, for chaining another network's output in.
     pub fn input_mut(&mut self) -> &mut Matrix {
-        &mut self.input
+        self.fwd.input_mut()
     }
 
     /// Mutable input row `b`, for the caller to fill.
     pub fn input_row_mut(&mut self, b: usize) -> &mut [f64] {
-        self.input.row_mut(b)
+        self.fwd.input_row_mut(b)
     }
 
     /// The network output of the last forward pass (`batch × out_dim`).
     pub fn output(&self) -> &Matrix {
-        self.acts.last().expect("non-empty")
+        self.fwd.output()
     }
 
     /// Output row `b` of the last forward pass.
     pub fn output_row(&self, b: usize) -> &[f64] {
-        self.acts.last().expect("non-empty").row(b)
+        self.fwd.output_row(b)
     }
 
     /// The output-gradient buffer the caller seeds with `∂L/∂ŷ` before
     /// [`Mlp::backward_batch`].
     pub fn grad_out_mut(&mut self) -> &mut Matrix {
-        assert!(self.training, "inference-only workspace has no gradient buffers");
         self.deltas.last_mut().expect("non-empty")
     }
 
@@ -203,23 +255,14 @@ impl MlpWorkspace {
     /// borrows), for loss gradients computed from workspace state — e.g.
     /// the autoencoder's `∂MSE(ŷ, x)/∂ŷ`.
     pub fn io_split(&mut self) -> (&Matrix, &Matrix, &mut Matrix) {
-        assert!(self.training, "inference-only workspace has no gradient buffers");
-        (&self.input, self.acts.last().expect("non-empty"), self.deltas.last_mut().expect("non-empty"))
+        let output = self.fwd.acts.last().expect("non-empty");
+        (&self.fwd.input, output, self.deltas.last_mut().expect("non-empty"))
     }
 
     /// The input gradient `∂L/∂X` of the last backward pass (only valid if
     /// it was requested).
     pub fn grad_in(&self) -> &Matrix {
-        assert!(self.training, "inference-only workspace has no gradient buffers");
         &self.grad_in
-    }
-
-    fn check_geometry(&self, mlp: &Mlp) {
-        assert_eq!(self.dims.len(), mlp.layers.len() + 1, "workspace/layer count mismatch");
-        assert_eq!(self.dims[0], mlp.in_dim(), "workspace input width mismatch");
-        for (d, layer) in self.dims[1..].iter().zip(&mlp.layers) {
-            assert_eq!(*d, layer.out_dim(), "workspace layer width mismatch");
-        }
     }
 }
 
@@ -229,32 +272,11 @@ impl Mlp {
         MlpWorkspace::new(self, max_batch)
     }
 
-    /// Creates an inference-only workspace (see [`MlpWorkspace::inference`]).
-    pub fn inference_workspace(&self, max_batch: usize) -> MlpWorkspace {
-        MlpWorkspace::inference(self, max_batch)
-    }
-
-    /// Batched forward pass over the `ws.batch()` rows of `ws.input()`.
-    ///
-    /// Each layer is one `X · Wᵀ` GEMM ([`Matrix::matmul_transpose_b_into`])
-    /// followed by an in-place bias add and activation per row. Performs no
-    /// heap allocation.
+    /// Batched forward pass over the `ws.batch()` rows of `ws.input()`
+    /// ([`ForwardWorkspace::forward`] over this network's layers). Performs
+    /// no heap allocation.
     pub fn forward_batch(&self, ws: &mut MlpWorkspace) {
-        ws.check_geometry(self);
-        let batch = ws.batch;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, todo) = ws.acts.split_at_mut(l);
-            let x = if l == 0 { &ws.input } else { &done[l - 1] };
-            let act = &mut todo[0];
-            x.matmul_transpose_b_into(&layer.weights, act);
-            for b in 0..batch {
-                let row = act.row_mut(b);
-                for (o, bias) in row.iter_mut().zip(&layer.bias) {
-                    *o += bias;
-                }
-                layer.activation.apply_slice(row);
-            }
-        }
+        ws.fwd.forward(&self.layers);
     }
 
     /// Batched backward pass.
@@ -267,16 +289,15 @@ impl Mlp {
     /// [`MlpWorkspace::grad_in`] buffer for cross-network chaining.
     /// Performs no heap allocation.
     pub fn backward_batch(&self, ws: &mut MlpWorkspace, grads: &mut MlpGrads, want_grad_in: bool) {
-        ws.check_geometry(self);
-        assert!(ws.training, "backward_batch needs a training workspace (see MlpWorkspace::inference)");
+        ws.fwd.check_geometry(&self.layers);
         assert_eq!(grads.layers.len(), self.layers.len(), "grad shape mismatch");
-        let batch = ws.batch;
+        let batch = ws.fwd.batch;
         for l in (0..self.layers.len()).rev() {
             let layer = &self.layers[l];
             // δ_l = ∂L/∂act_l ⊙ act'(y_l), in place.
             {
                 let delta = &mut ws.deltas[l];
-                let act = &ws.acts[l];
+                let act = &ws.fwd.acts[l];
                 for b in 0..batch {
                     for (d, &y) in delta.row_mut(b).iter_mut().zip(act.row(b)) {
                         *d *= layer.activation.derivative_from_output(y);
@@ -285,7 +306,7 @@ impl Mlp {
             }
             // ∂L/∂W += δᵀ · X — one GEMM accumulating rank-1 terms in
             // ascending sample order.
-            let x = if l == 0 { &ws.input } else { &ws.acts[l - 1] };
+            let x = if l == 0 { &ws.fwd.input } else { &ws.fwd.acts[l - 1] };
             ws.deltas[l].matmul_transpose_a_acc(x, &mut grads.layers[l].weights);
             // ∂L/∂b += Σ_b δ_b, ascending.
             for b in 0..batch {
@@ -318,7 +339,7 @@ impl Mlp {
         opt: &mut dyn Optimizer,
     ) -> f64 {
         self.forward_batch(ws);
-        let batch = ws.batch;
+        let batch = ws.fwd.batch;
         let mut loss_sum = 0.0;
         {
             let (input, output, grad_out) = ws.io_split();
@@ -487,54 +508,6 @@ mod tests {
         let mlp = tiny_mlp(1);
         let mut ws = mlp.workspace(2);
         ws.set_batch(3);
-    }
-
-    /// The inference-only workspace's forward pass is bitwise identical to
-    /// the training workspace's (and hence, per
-    /// `forward_batch_rows_match_per_sample_infer_bitwise`, to per-sample
-    /// `Mlp::infer`) across batch resizes.
-    #[test]
-    fn inference_workspace_forward_matches_training_workspace_bitwise() {
-        let mlp = tiny_mlp(5);
-        let mut train_ws = mlp.workspace(4);
-        let mut infer_ws = mlp.inference_workspace(4);
-        assert!(train_ws.supports_training());
-        assert!(!infer_ws.supports_training());
-        for &batch in &[4usize, 1, 3, 2] {
-            train_ws.set_batch(batch);
-            infer_ws.set_batch(batch);
-            for b in 0..batch {
-                train_ws.input_row_mut(b).copy_from_slice(&sample(b + batch));
-                infer_ws.input_row_mut(b).copy_from_slice(&sample(b + batch));
-            }
-            mlp.forward_batch(&mut train_ws);
-            mlp.forward_batch(&mut infer_ws);
-            for b in 0..batch {
-                let a: Vec<u64> = train_ws.output_row(b).iter().map(|v| v.to_bits()).collect();
-                let c: Vec<u64> = infer_ws.output_row(b).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, c, "batch {batch}, row {b}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a training workspace")]
-    fn backward_on_inference_workspace_panics() {
-        let mlp = tiny_mlp(6);
-        let mut ws = mlp.inference_workspace(2);
-        ws.set_batch(1);
-        ws.input_row_mut(0).copy_from_slice(&sample(0));
-        mlp.forward_batch(&mut ws);
-        let mut grads = mlp.zero_grads();
-        mlp.backward_batch(&mut ws, &mut grads, false);
-    }
-
-    #[test]
-    #[should_panic(expected = "no gradient buffers")]
-    fn grad_out_on_inference_workspace_panics() {
-        let mlp = tiny_mlp(6);
-        let mut ws = mlp.inference_workspace(2);
-        let _ = ws.grad_out_mut();
     }
 
     #[test]

@@ -1,67 +1,49 @@
-//! f32 inference plan: a compiled, inference-only snapshot of an [`Mlp`].
+//! Inference plans: converted, inference-only snapshots of an [`Mlp`].
 //!
-//! Fleet serving spends its steady state in [`Mlp::forward_batch`] — a pure
-//! read of the trained f64 weights. At serving batch sizes the kernel is
-//! memory-bound, so streaming the weights at half the bytes per element is
-//! worth ~2× bandwidth; but training must stay f64 **bit-for-bit** (every
-//! parity proof in the workspace depends on it). The resolution is a
-//! separation of state:
+//! Fleet serving spends its steady state in batched forward passes — a
+//! pure read of the trained f64 weights. At serving batch sizes the kernel
+//! is memory-bound, so streaming the weights at half the bytes per element
+//! is worth ~2× bandwidth; but training must stay f64 **bit-for-bit**
+//! (every parity proof in the workspace depends on it). The resolution is
+//! a separation of state:
 //!
 //! * the [`Mlp`] keeps sole ownership of the authoritative f64 parameters
 //!   and every training/fine-tune path — untouched by this module;
-//! * an [`InferPlan`] holds a *converted copy* of the weights/biases in
-//!   `Matrix<f32>` form. It is rebuilt (`refresh`, allocation-free) only
-//!   when the owner observes a training event — the same
+//! * an [`InferPlan`] holds a *converted copy* of its layers as
+//!   [`Dense<T>`]. It is re-synced (`refresh`, allocation-free) only when
+//!   the owner observes a training event — the same
 //!   dirty-on-training-event hook that maintains fleet cohort membership —
 //!   and serves every inference round in between.
 //!
-//! Plan outputs agree with the f64 forward pass to f32 relative accuracy
-//! (asserted with explicit tolerances in `tests/infer_plan_tolerance.rs`);
-//! they are **never** fed back into training.
+//! A plan runs through the same batched layer loop as the network itself
+//! ([`ForwardWorkspace::forward`]), so an f64 plan is bitwise the
+//! network's own forward pass (asserted below) and an f32 plan differs
+//! only by the precision of its arithmetic. f32 plan outputs agree with
+//! the f64 forward pass to f32 relative accuracy (asserted below and, per
+//! model, by `sad-models`' batched-inference tests); they are **never**
+//! fed back into training.
 
-use crate::activation::Activation;
+use crate::batch::ForwardWorkspace;
+use crate::layer::Dense;
 use crate::mlp::Mlp;
-use sad_tensor::Matrix;
+use sad_tensor::Scalar;
 
-/// One dense layer's converted inference state.
-#[derive(Debug, Clone)]
-struct PlanLayer {
-    /// `out_dim x in_dim`, row-major — same layout as the f64 original.
-    weights: Matrix<f32>,
-    bias: Vec<f32>,
-    activation: Activation,
-}
-
-/// f32-converted weights of one [`Mlp`], for inference only.
+/// Converted weights of one [`Mlp`], for inference only (f32 unless
+/// stated otherwise).
 ///
-/// Create with [`Mlp::infer_plan`], re-sync after a training event with
-/// [`InferPlan::refresh`] (allocation-free), and run batched forwards
-/// through a reusable [`InferPlanWorkspace`].
+/// Create with [`InferPlan::new`] (or [`Mlp::infer_plan`] for f32),
+/// re-sync after a training event with [`InferPlan::refresh`]
+/// (allocation-free), and run batched forwards through a reusable
+/// [`ForwardWorkspace`].
 #[derive(Debug, Clone)]
-pub struct InferPlan {
-    layers: Vec<PlanLayer>,
-    /// Layer widths `[in, h₁, …, out]`.
-    dims: Vec<usize>,
+pub struct InferPlan<T: Scalar = f32> {
+    layers: Vec<Dense<T>>,
 }
 
-impl InferPlan {
-    /// Builds a plan by converting every parameter of `mlp` to f32.
+impl<T: Scalar> InferPlan<T> {
+    /// Builds a plan by converting every parameter of `mlp` to `T`.
     pub fn new(mlp: &Mlp) -> Self {
-        let layers = mlp
-            .layers()
-            .iter()
-            .map(|layer| PlanLayer {
-                weights: Matrix::from_precision(&layer.weights),
-                bias: layer.bias.iter().map(|&b| b as f32).collect(),
-                activation: layer.activation,
-            })
-            .collect();
-        let mut dims = Vec::with_capacity(mlp.layers().len() + 1);
-        dims.push(mlp.in_dim());
-        for layer in mlp.layers() {
-            dims.push(layer.out_dim());
-        }
-        Self { layers, dims }
+        Self { layers: mlp.layers().iter().map(Dense::<T>::converted).collect() }
     }
 
     /// Re-converts every parameter from `mlp` in place — the
@@ -73,148 +55,24 @@ impl InferPlan {
     pub fn refresh(&mut self, mlp: &Mlp) {
         assert_eq!(self.layers.len(), mlp.layers().len(), "infer plan layer count mismatch");
         for (plan, layer) in self.layers.iter_mut().zip(mlp.layers()) {
-            plan.weights.convert_from(&layer.weights);
-            assert_eq!(plan.bias.len(), layer.bias.len(), "infer plan bias width mismatch");
-            for (o, &b) in plan.bias.iter_mut().zip(&layer.bias) {
-                *o = b as f32;
-            }
-            plan.activation = layer.activation;
+            plan.convert_from(layer);
         }
     }
 
-    /// `true` if `mlp` has the geometry this plan was built from.
-    pub fn matches(&self, mlp: &Mlp) -> bool {
-        self.layers.len() == mlp.layers().len()
-            && self
-                .layers
-                .iter()
-                .zip(mlp.layers())
-                .all(|(p, l)| p.weights.shape() == l.weights.shape())
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.dims[0]
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        *self.dims.last().expect("non-empty")
+    /// The converted layers, in order.
+    pub fn layers(&self) -> &[Dense<T>] {
+        &self.layers
     }
 
     /// Creates a workspace shaped for this plan with `max_batch` rows.
-    pub fn workspace(&self, max_batch: usize) -> InferPlanWorkspace {
-        InferPlanWorkspace::new(self, max_batch)
+    pub fn workspace(&self, max_batch: usize) -> ForwardWorkspace<T> {
+        ForwardWorkspace::new(&self.layers, max_batch)
     }
 
-    /// Batched f32 forward pass over the `ws.batch()` rows of `ws.input()`.
-    ///
-    /// Structurally identical to [`Mlp::forward_batch`] — one
-    /// `X · Wᵀ` GEMM per layer ([`Matrix::matmul_transpose_b_into`], whose
-    /// f32 instantiation runs the 8-lane pinned dot kernel) followed by an
-    /// in-place bias add and activation per row. Performs no heap
-    /// allocation.
-    pub fn forward_batch(&self, ws: &mut InferPlanWorkspace) {
-        ws.check_geometry(self);
-        let batch = ws.batch;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, todo) = ws.acts.split_at_mut(l);
-            let x = if l == 0 { &ws.input } else { &done[l - 1] };
-            let act = &mut todo[0];
-            x.matmul_transpose_b_into(&layer.weights, act);
-            for b in 0..batch {
-                let row = act.row_mut(b);
-                for (o, bias) in row.iter_mut().zip(&layer.bias) {
-                    *o += bias;
-                }
-                layer.activation.apply_slice_f32(row);
-            }
-        }
-    }
-}
-
-/// Reusable input/activation buffers for [`InferPlan::forward_batch`] —
-/// the f32 mirror of the inference-only [`crate::MlpWorkspace`].
-#[derive(Debug, Clone)]
-pub struct InferPlanWorkspace {
-    dims: Vec<usize>,
-    max_batch: usize,
-    batch: usize,
-    input: Matrix<f32>,
-    acts: Vec<Matrix<f32>>,
-}
-
-impl InferPlanWorkspace {
-    /// Creates a workspace for `plan` with room for `max_batch` rows.
-    pub fn new(plan: &InferPlan, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "workspace needs at least one batch row");
-        let acts = plan.dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
-        Self {
-            input: Matrix::zeros(max_batch, plan.dims[0]),
-            acts,
-            max_batch,
-            batch: max_batch,
-            dims: plan.dims.clone(),
-        }
-    }
-
-    /// Maximum number of rows the workspace was allocated for.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Current logical batch size.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Sets the logical batch size for the next forward pass. Within
-    /// capacity this never reallocates ([`Matrix::resize_rows`]).
-    ///
-    /// # Panics
-    /// Panics if `batch` is zero or exceeds [`Self::max_batch`].
-    pub fn set_batch(&mut self, batch: usize) {
-        assert!(batch > 0, "batch size must be positive");
-        assert!(
-            batch <= self.max_batch,
-            "batch {batch} exceeds workspace capacity {}",
-            self.max_batch
-        );
-        self.batch = batch;
-        self.input.resize_rows(batch);
-        for m in &mut self.acts {
-            m.resize_rows(batch);
-        }
-    }
-
-    /// Mutable input row `b`, for the caller to fill (already in f32).
-    pub fn input_row_mut(&mut self, b: usize) -> &mut [f32] {
-        self.input.row_mut(b)
-    }
-
-    /// The whole input matrix (`batch × in_dim`).
-    pub fn input(&self) -> &Matrix<f32> {
-        &self.input
-    }
-
-    /// Mutable input matrix — lets chained plans copy a previous plan's
-    /// output in wholesale (e.g. USAD's encoder → decoder handoff).
-    pub fn input_mut(&mut self) -> &mut Matrix<f32> {
-        &mut self.input
-    }
-
-    /// The network output of the last forward pass (`batch × out_dim`).
-    pub fn output(&self) -> &Matrix<f32> {
-        self.acts.last().expect("non-empty")
-    }
-
-    /// Output row `b` of the last forward pass.
-    pub fn output_row(&self, b: usize) -> &[f32] {
-        self.acts.last().expect("non-empty").row(b)
-    }
-
-    fn check_geometry(&self, plan: &InferPlan) {
-        assert_eq!(self.dims, plan.dims, "workspace/plan geometry mismatch");
+    /// Batched forward pass over the `ws.batch()` rows of `ws.input()`.
+    /// Performs no heap allocation.
+    pub fn forward_batch(&self, ws: &mut ForwardWorkspace<T>) {
+        ws.forward(&self.layers);
     }
 }
 
@@ -256,9 +114,6 @@ mod tests {
     fn plan_forward_matches_f64_infer_within_tolerance() {
         let mlp = tiny_mlp(3);
         let plan = mlp.infer_plan();
-        assert!(plan.matches(&mlp));
-        assert_eq!(plan.in_dim(), 6);
-        assert_eq!(plan.out_dim(), 6);
         let mut ws = plan.workspace(4);
         ws.set_batch(4);
         for b in 0..4 {
@@ -301,6 +156,29 @@ mod tests {
             stale.iter().zip(fresh).any(|(a, b)| a != b),
             "refresh must pick up the trained parameters",
         );
+    }
+
+    /// The shared layer loop over an f64 plan is bitwise `Mlp::infer`,
+    /// across batch resizes: the conversion is exact and the loop is the
+    /// network's own.
+    #[test]
+    fn f64_plan_forward_equals_mlp_infer_bitwise() {
+        let mlp = tiny_mlp(5);
+        let plan = InferPlan::<f64>::new(&mlp);
+        let mut ws = plan.workspace(4);
+        for &batch in &[4usize, 1, 3, 2] {
+            ws.set_batch(batch);
+            for b in 0..batch {
+                ws.input_row_mut(b).copy_from_slice(&sample(b + batch));
+            }
+            plan.forward_batch(&mut ws);
+            for b in 0..batch {
+                let got: Vec<u64> = ws.output_row(b).iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> =
+                    mlp.infer(&sample(b + batch)).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "batch {batch}, row {b}");
+            }
+        }
     }
 
     #[test]

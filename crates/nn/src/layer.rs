@@ -2,18 +2,23 @@
 
 use crate::activation::Activation;
 use rand::Rng;
-use sad_tensor::Matrix;
+use sad_tensor::{Matrix, Scalar};
 
 /// A fully-connected layer `y = act(W x + b)`.
 ///
 /// `W` is `out_dim x in_dim`; the paper writes the affine map as
 /// `FC_i(x) = σ(x * W_i + b_i)` (§IV-C) — identical up to transposition.
+///
+/// `Dense` written without a parameter is the trainable f64 layer. Other
+/// precisions hold inference-only converted copies ([`Self::converted`]),
+/// which the one batched layer loop ([`crate::ForwardWorkspace::forward`])
+/// runs exactly like the original.
 #[derive(Debug, Clone)]
-pub struct Dense {
+pub struct Dense<T: Scalar = f64> {
     /// Weight matrix, `out_dim x in_dim`.
-    pub weights: Matrix,
+    pub weights: Matrix<T>,
     /// Bias vector, length `out_dim`.
-    pub bias: Vec<f64>,
+    pub bias: Vec<T>,
     /// Element-wise nonlinearity.
     pub activation: Activation,
 }
@@ -27,15 +32,7 @@ pub struct DenseGrads {
     pub bias: Vec<f64>,
 }
 
-impl Dense {
-    /// Creates a layer with Xavier-uniform initialized weights and zero bias.
-    pub fn xavier(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
-        assert!(in_dim > 0 && out_dim > 0, "layer dimensions must be positive");
-        let bound = (6.0 / (in_dim + out_dim) as f64).sqrt();
-        let weights = Matrix::from_fn(out_dim, in_dim, |_, _| rng.random_range(-bound..bound));
-        Self { weights, bias: vec![0.0; out_dim], activation }
-    }
-
+impl<T: Scalar> Dense<T> {
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.weights.cols()
@@ -49,6 +46,39 @@ impl Dense {
     /// Number of scalar parameters (`out*in + out`).
     pub fn num_params(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
+    }
+
+    /// Converts a trained f64 layer to this precision (exact at f64).
+    pub fn converted(src: &Dense) -> Self {
+        Self {
+            weights: Matrix::from_precision(&src.weights),
+            bias: src.bias.iter().map(|&b| T::from_f64(b)).collect(),
+            activation: src.activation,
+        }
+    }
+
+    /// Re-converts every parameter from `src` in place — no heap
+    /// allocation.
+    ///
+    /// # Panics
+    /// Panics if `src` has a different shape.
+    pub fn convert_from(&mut self, src: &Dense) {
+        self.weights.convert_from(&src.weights);
+        assert_eq!(self.bias.len(), src.bias.len(), "layer bias width mismatch");
+        for (o, &b) in self.bias.iter_mut().zip(&src.bias) {
+            *o = T::from_f64(b);
+        }
+        self.activation = src.activation;
+    }
+}
+
+impl Dense {
+    /// Creates a layer with Xavier-uniform initialized weights and zero bias.
+    pub fn xavier(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
+        assert!(in_dim > 0 && out_dim > 0, "layer dimensions must be positive");
+        let bound = (6.0 / (in_dim + out_dim) as f64).sqrt();
+        let weights = Matrix::from_fn(out_dim, in_dim, |_, _| rng.random_range(-bound..bound));
+        Self { weights, bias: vec![0.0; out_dim], activation }
     }
 
     /// Forward pass without caching (inference only).

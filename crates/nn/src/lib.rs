@@ -25,6 +25,10 @@
 //!   into row-major matrices and drives the cache-blocked `sad-tensor`
 //!   GEMM kernels; it reproduces the per-sample path bit for bit at batch
 //!   size 1 (see `batch`'s module docs for the pinned summation order).
+//! * There is one batched forward layer loop,
+//!   [`ForwardWorkspace::forward`] over `&[Dense<T>]`. It runs the
+//!   training forward, live f64 inference, and inference through
+//!   converted [`InferPlan`] snapshots at either precision.
 //!
 //! Every backward pass is verified against central finite differences in the
 //! test suite (`grad_check`).
@@ -37,8 +41,8 @@ pub mod loss;
 pub mod mlp;
 
 pub use activation::Activation;
-pub use batch::MlpWorkspace;
-pub use infer_plan::{InferPlan, InferPlanWorkspace};
+pub use batch::{ForwardWorkspace, MlpWorkspace};
+pub use infer_plan::InferPlan;
 pub use layer::{Dense, DenseGrads};
 pub use loss::{mse, mse_grad, sse, sse_grad};
 pub use mlp::{Mlp, MlpCache, MlpGrads};

@@ -1,8 +1,8 @@
 //! Export sinks for a [`Registry`](crate::Registry): Prometheus-style text
 //! exposition and a JSON snapshot.
 //!
-//! Both renderers are plain `std` string building (the vendored serde
-//! stand-in has no data format, matching `sad_bench::timing`'s hand-rolled
+//! Both renderers are plain `std` string building (the workspace has no
+//! serialization dependency, matching `sad_bench::timing`'s hand-rolled
 //! JSON). Exporting allocates freely — it runs outside the guarded hot
 //! paths — and stays pluggable: anything that can ship a `String` (a file,
 //! stderr, the future TCP transport) is a sink.

@@ -65,6 +65,19 @@ impl Histogram {
         Self::new(bounds)
     }
 
+    /// Round-latency buckets in seconds: log-scale from 1 µs to 16 s at
+    /// quarter-octave resolution (bounds grow by 2^¼ ≈ 19%), fine enough
+    /// that the interpolated p50/p99 track exact sorted-sample
+    /// percentiles.
+    pub fn latency() -> Self {
+        let mut bounds = vec![1e-6];
+        while *bounds.last().expect("non-empty") < 16.0 {
+            let next = bounds.last().expect("non-empty") * std::f64::consts::SQRT_2.sqrt();
+            bounds.push(next);
+        }
+        Self::new(bounds)
+    }
+
     /// `n` equal-width buckets spanning `(lo, hi]` — the bounded-domain
     /// shape (e.g. `linear(0.0, 1.0, 20)` for nonconformity scores).
     ///
@@ -224,6 +237,17 @@ mod tests {
         assert_eq!(h.bucket_for(1e-6), 0);
         assert_eq!(h.bucket_for(1.5e-6), 1);
         assert_eq!(h.bucket_for(1e9), bounds.len(), "way past the end is overflow");
+    }
+
+    #[test]
+    fn latency_buckets_grow_by_a_quarter_octave_from_1us_to_16s() {
+        let h = Histogram::latency();
+        let bounds = h.bounds();
+        assert_eq!(bounds[0], 1e-6);
+        assert!(bounds[bounds.len() - 2] < 16.0 && *bounds.last().unwrap() >= 16.0);
+        for w in bounds.windows(2) {
+            assert!((w[1] / w[0] - 2f64.powf(0.25)).abs() < 1e-12);
+        }
     }
 
     #[test]

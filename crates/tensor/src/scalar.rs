@@ -94,6 +94,12 @@ pub trait Scalar:
     fn clampv(self, lo: Self, hi: Self) -> Self;
     /// `true` if neither infinite nor NaN.
     fn is_finite(self) -> bool;
+    /// `e^self`.
+    fn exp(self) -> Self;
+    /// Hyperbolic tangent.
+    fn tanh(self) -> Self;
+    /// `max(self, other)` with the std float semantics.
+    fn maxv(self, other: Self) -> Self;
 
     /// Dot product with this precision's pinned lane order.
     ///
@@ -192,6 +198,18 @@ impl Scalar for f64 {
     fn is_finite(self) -> bool {
         f64::is_finite(self)
     }
+    #[inline]
+    fn exp(self) -> Self {
+        f64::exp(self)
+    }
+    #[inline]
+    fn tanh(self) -> Self {
+        f64::tanh(self)
+    }
+    #[inline]
+    fn maxv(self, other: Self) -> Self {
+        f64::max(self, other)
+    }
 
     #[inline]
     fn dot(a: &[Self], b: &[Self]) -> Self {
@@ -283,6 +301,18 @@ impl Scalar for f32 {
     #[inline]
     fn is_finite(self) -> bool {
         f32::is_finite(self)
+    }
+    #[inline]
+    fn exp(self) -> Self {
+        f32::exp(self)
+    }
+    #[inline]
+    fn tanh(self) -> Self {
+        f32::tanh(self)
+    }
+    #[inline]
+    fn maxv(self, other: Self) -> Self {
+        f32::max(self, other)
     }
 
     #[inline]

@@ -390,17 +390,6 @@ fn jitter(i: usize, t: usize, c: usize) -> f64 {
     ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e-3
 }
 
-/// Round-latency histogram for the CLI report: log-scale from 1 µs to 16 s
-/// at quarter-octave resolution (bounds grow by 2^¼ ≈ 19%), fine enough
-/// that the interpolated p50/p99 track exact sorted-sample percentiles.
-fn latency_histogram() -> Histogram {
-    let mut bounds = vec![1e-6];
-    while *bounds.last().unwrap() < 16.0 {
-        bounds.push(bounds.last().unwrap() * std::f64::consts::SQRT_2.sqrt());
-    }
-    Histogram::new(bounds)
-}
-
 /// Writes a registry snapshot as JSON to `path`; reports failure on stderr
 /// and returns `false` so callers can exit non-zero.
 fn write_metrics_json(path: &str, reg: &Registry) -> bool {
@@ -659,7 +648,7 @@ fn run_fleet(args: &Args, spec: AlgorithmSpec, series: &LabeledSeries, n: usize)
     // Round latency measured at the CLI boundary (enqueue excluded) through
     // the shared histogram type — p50/p99 come from the same interpolation
     // the fleet's own per-shard round histograms use.
-    let mut latency = latency_histogram();
+    let mut latency = Histogram::latency();
     let mut total_ns = 0u64;
     for (t, s) in series.data.iter().enumerate() {
         for i in 0..n {
