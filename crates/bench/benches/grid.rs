@@ -14,7 +14,7 @@
 //! so its ratio is bounded by the warm-up share of the series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sad_bench::{evaluate_spec_scorers, evaluate_tree};
+use sad_bench::evaluate_tree;
 use sad_core::{paper_algorithms, AlgorithmSpec, DetectorConfig, ModelKind, ScoreKind, Task1, Task2};
 use sad_data::{daphnet_like, CorpusParams};
 use sad_models::BuildParams;
@@ -46,12 +46,16 @@ fn bench_group(c: &mut Criterion) {
         .find(|s| s.model == ModelKind::OnlineArima && s.task1 == Task1::AnomalyAwareReservoir)
         .expect("ARIMA/ARES is in Table I");
 
+    // One `(spec, corpus)` group: a root with a single drift variant.
+    let evaluate_spec = |spec: AlgorithmSpec, scorers: &[ScoreKind]| {
+        evaluate_tree(spec.model, spec.task1, &[spec.task2], &params, &corpus, scorers)
+    };
     let mut group = c.benchmark_group("table3_group");
     group.sample_size(10);
     for (name, spec) in [("shared_pass/ARIMA-SW", shared_spec), ("warmup_share/ARIMA-ARES", ares_spec)]
     {
         group.bench_with_input(BenchmarkId::from_parameter(name), &spec, |b, &spec| {
-            b.iter(|| black_box(evaluate_spec_scorers(spec, &params, &corpus, &SCORERS)));
+            b.iter(|| black_box(evaluate_spec(spec, &SCORERS)));
         });
     }
     // The pre-fan-out protocol for the same group: three independent
@@ -63,7 +67,7 @@ fn bench_group(c: &mut Criterion) {
         |b, &spec| {
             b.iter(|| {
                 for &kind in &SCORERS {
-                    black_box(evaluate_spec_scorers(spec, &params, &corpus, &[kind]));
+                    black_box(evaluate_spec(spec, &[kind]));
                 }
             });
         },
@@ -115,8 +119,8 @@ fn bench_warmup_fork(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("independent_refit", name), &model, |b, &model| {
             b.iter(|| {
                 for &task2 in &task2s {
-                    let spec = AlgorithmSpec { model, task1: Task1::SlidingWindow, task2 };
-                    black_box(evaluate_spec_scorers(spec, &params, &corpus, &SCORERS));
+                    let sw = Task1::SlidingWindow;
+                    black_box(evaluate_tree(model, sw, &[task2], &params, &corpus, &SCORERS));
                 }
             });
         });

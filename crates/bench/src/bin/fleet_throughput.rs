@@ -21,10 +21,10 @@
 //! one cohort rebuild at group formation).
 //!
 //! Also measures the telemetry tax: the 64-stream batched leg is re-run
-//! with `FleetConfig::telemetry` on and off (interleaved best-of-K,
-//! escalating reps while the gap is over budget), and the comparison
-//! lands in `bench_output/obs_overhead.json` with an in-bin assertion
-//! that the overhead stays ≤ 3%.
+//! with `FleetConfig::telemetry` off and on in 5 interleaved pairs
+//! ([`sad_bench::gate`]), and the per-pair overhead's median, min and max
+//! land in `bench_output/obs_overhead.json` with an in-bin assertion that
+//! the median overhead stays ≤ 3%.
 //!
 //! ```sh
 //! cargo run --release --bin fleet_throughput            # quick (default)
@@ -35,6 +35,7 @@ use std::time::Instant;
 
 use sad_core::{paper_algorithms, AlgorithmSpec, Detector, DetectorConfig, ModelKind, ScoreKind};
 use sad_fleet::{DetectorFleet, FleetConfig, FleetStats};
+use sad_bench::{interleaved_pairs, Spread, GATE_PAIRS};
 use sad_models::{build_detector, BuildParams};
 use sad_obs::Histogram;
 
@@ -230,36 +231,34 @@ fn main() {
     }
 
     // ---- Telemetry overhead: the 64-stream batched leg with the timed
-    // telemetry on vs off, interleaved best-of-K (the interleave cancels
-    // thermal/frequency drift; best-of cancels scheduler noise). Reps
-    // escalate past the minimum when the gap is still over budget — a
-    // transiently loaded machine can fake a large overhead on a short
-    // timed region, and more best-of reps converge both legs to their
-    // quiet-machine speed.
+    // telemetry off vs on, in a fixed number of interleaved pairs (the
+    // interleave cancels thermal/frequency drift), gated on the median of
+    // the per-pair overhead.
     let obs_n = *sizes.last().expect("sizes is non-empty");
-    let (min_reps, max_reps) = (3, 9);
-    let mut obs_reps = 0;
-    let mut best_on = f64::MIN;
-    let mut best_off = f64::MIN;
-    let overhead_pct = loop {
-        best_off = best_off.max(serve(obs_n, Mode::Batched, rounds, false).steps_per_sec);
-        best_on = best_on.max(serve(obs_n, Mode::Batched, rounds, true).steps_per_sec);
-        obs_reps += 1;
-        let pct = (best_off / best_on.max(1e-12) - 1.0) * 100.0;
-        if (obs_reps >= min_reps && pct <= 3.0) || obs_reps >= max_reps {
-            break pct;
-        }
-    };
+    let pairs = interleaved_pairs(
+        GATE_PAIRS,
+        || serve(obs_n, Mode::Batched, rounds, false).steps_per_sec,
+        || serve(obs_n, Mode::Batched, rounds, true).steps_per_sec,
+    );
+    let off = Spread::of(pairs.iter().map(|&(off, _)| off));
+    let on = Spread::of(pairs.iter().map(|&(_, on)| on));
+    let overhead =
+        Spread::of(pairs.iter().map(|&(off, on)| (off / on.max(1e-12) - 1.0) * 100.0));
+    let overhead_pct = overhead.median;
     println!(
-        "telemetry overhead @ {obs_n} streams: on {best_on:.0} steps/s, off {best_off:.0} steps/s, {overhead_pct:+.2}%",
+        "telemetry overhead @ {obs_n} streams (median of {} pairs): on {:.0} steps/s, \
+         off {:.0} steps/s, {overhead_pct:+.2}% (min {:+.2}%, max {:+.2}%)",
+        overhead.k, on.median, off.median, overhead.min, overhead.max,
     );
     let obs_json = format!(
         "{{\n  \"harness\": \"fleet_throughput\",\n  \"experiment\": \"obs_overhead\",\n  \
-         \"streams\": {obs_n},\n  \"rounds\": {rounds},\n  \"reps\": {obs_reps},\n  \
+         \"streams\": {obs_n},\n  \"rounds\": {rounds},\n  \"pairs\": {},\n  \
          \"mode\": \"batched\",\n  \
-         \"steps_per_sec_telemetry_on\": {best_on:.1},\n  \
-         \"steps_per_sec_telemetry_off\": {best_off:.1},\n  \
-         \"overhead_pct\": {overhead_pct:.3},\n  \"budget_pct\": 3.0\n}}\n",
+         \"steps_per_sec_telemetry_on\": {:.1},\n  \
+         \"steps_per_sec_telemetry_off\": {:.1},\n  \
+         \"overhead_pct\": {overhead_pct:.3},\n  \"overhead_pct_min\": {:.3},\n  \
+         \"overhead_pct_max\": {:.3},\n  \"budget_pct\": 3.0\n}}\n",
+        overhead.k, on.median, off.median, overhead.min, overhead.max,
     );
     match std::fs::write("bench_output/obs_overhead.json", &obs_json) {
         Ok(()) => println!("-> bench_output/obs_overhead.json"),
@@ -267,7 +266,10 @@ fn main() {
     }
     assert!(
         overhead_pct <= 3.0,
-        "telemetry overhead {overhead_pct:.2}% exceeds the 3% budget \
-         (on {best_on:.0} vs off {best_off:.0} steps/s)",
+        "median telemetry overhead {overhead_pct:.2}% exceeds the 3% budget \
+         (on {:.0} vs off {:.0} steps/s, median of {} pairs)",
+        on.median,
+        off.median,
+        overhead.k,
     );
 }

@@ -19,9 +19,10 @@
 //! * `csv`      — the text fallback from memory (reported: ~3× the bytes
 //!   and float parsing, expected to trail binary).
 //!
-//! Direct and framed run interleaved best-of-K (escalating while the
-//! ratio is under budget) so a transiently loaded machine cannot fake an
-//! overshoot. Writes `bench_output/ingest_throughput.json`.
+//! Direct and framed run as 5 interleaved pairs ([`sad_bench::gate`]);
+//! the gate reads the median per-pair framed/direct ratio, and its min
+//! and max are reported next to it. Writes
+//! `bench_output/ingest_throughput.json`.
 //!
 //! ```sh
 //! cargo run --release --bin ingest_throughput            # quick (default)
@@ -32,6 +33,7 @@ use std::io::Cursor;
 use std::net::TcpListener;
 use std::time::Instant;
 
+use sad_bench::{interleaved_pairs, Spread, GATE_PAIRS};
 use sad_core::{paper_algorithms, AlgorithmSpec, Detector, DetectorConfig, ModelKind, ScoreKind};
 use sad_fleet::{DetectorFleet, FleetConfig};
 use sad_ingest::{
@@ -235,30 +237,27 @@ fn main() {
     let frame_bytes = 4 + 8 + 8 * CHANNELS;
     assert_eq!(timed.len(), rounds * STREAMS * frame_bytes, "fixed-width binary frames");
 
-    // The leg under test, interleaved best-of-K against the baseline:
-    // escalate reps while the ratio is under budget so a transient load
-    // spike cannot fake an overshoot.
-    let (min_reps, max_reps) = (3, 7);
-    let mut reps = 0;
-    let mut best_direct = f64::MIN;
-    let mut best_framed = f64::MIN;
-    let mut framed_mbs = 0.0f64;
-    let ratio = loop {
-        best_direct = best_direct.max(serve_direct(rounds));
-        let (sps, mbs) = serve_wire(Framing::Binary, &settle, &timed, rounds);
-        if sps > best_framed {
-            (best_framed, framed_mbs) = (sps, mbs);
-        }
-        reps += 1;
-        let r = best_framed / best_direct.max(1e-12);
-        if (reps >= min_reps && r >= 0.90) || reps >= max_reps {
-            break r;
-        }
-    };
+    // The leg under test against the baseline, in a fixed number of
+    // interleaved pairs, gated on the median per-pair ratio.
+    let pairs = interleaved_pairs(
+        GATE_PAIRS,
+        || serve_direct(rounds),
+        || serve_wire(Framing::Binary, &settle, &timed, rounds),
+    );
+    let direct = Spread::of(pairs.iter().map(|&(d, _)| d));
+    let framed = Spread::of(pairs.iter().map(|&(_, (f, _))| f));
+    let framed_mbs = Spread::of(pairs.iter().map(|&(_, (_, mbs))| mbs)).median;
+    let ratio = Spread::of(pairs.iter().map(|&(d, (f, _))| f / d.max(1e-12)));
     println!(
-        "  direct  {best_direct:>9.0} steps/s\n  framed  {best_framed:>9.0} steps/s \
-         ({:.1}% of direct, {framed_mbs:.0} MB/s decoded, {reps} reps)",
-        ratio * 100.0,
+        "  direct  {:>9.0} steps/s\n  framed  {:>9.0} steps/s \
+         ({:.1}% of direct, min {:.1}%, max {:.1}%, {framed_mbs:.0} MB/s decoded; \
+         medians of {} pairs)",
+        direct.median,
+        framed.median,
+        ratio.median * 100.0,
+        ratio.min * 100.0,
+        ratio.max * 100.0,
+        ratio.k,
     );
 
     let (tcp_sps, tcp_mbs) = serve_tcp(&settle, &timed, rounds);
@@ -270,14 +269,21 @@ fn main() {
         "{{\n  \"harness\": \"ingest_throughput\",\n  \"profile\": \"{}\",\n  \
          \"model\": \"2-layer AE / SW / μ/σ\",\n  \"streams\": {STREAMS},\n  \
          \"window\": {WINDOW},\n  \"channels\": {CHANNELS},\n  \"warmup\": {WARMUP},\n  \
-         \"rounds\": {rounds},\n  \"reps\": {reps},\n  \"frame_bytes\": {frame_bytes},\n  \
-         \"direct_steps_per_sec\": {best_direct:.1},\n  \
-         \"framed_steps_per_sec\": {best_framed:.1},\n  \
-         \"framed_ratio\": {ratio:.4},\n  \"framed_mb_per_sec\": {framed_mbs:.1},\n  \
+         \"rounds\": {rounds},\n  \"pairs\": {},\n  \"frame_bytes\": {frame_bytes},\n  \
+         \"direct_steps_per_sec\": {:.1},\n  \
+         \"framed_steps_per_sec\": {:.1},\n  \
+         \"framed_ratio\": {:.4},\n  \"framed_ratio_min\": {:.4},\n  \
+         \"framed_ratio_max\": {:.4},\n  \"framed_mb_per_sec\": {framed_mbs:.1},\n  \
          \"tcp_steps_per_sec\": {tcp_sps:.1},\n  \"tcp_mb_per_sec\": {tcp_mbs:.1},\n  \
          \"csv_steps_per_sec\": {csv_sps:.1},\n  \"csv_mb_per_sec\": {csv_mbs:.1},\n  \
          \"budget_ratio\": 0.90\n}}\n",
         if full { "full" } else { "quick" },
+        ratio.k,
+        direct.median,
+        framed.median,
+        ratio.median,
+        ratio.min,
+        ratio.max,
     );
     match std::fs::create_dir_all("bench_output")
         .and_then(|()| std::fs::write("bench_output/ingest_throughput.json", &json))
@@ -287,9 +293,12 @@ fn main() {
     }
 
     assert!(
-        ratio >= 0.90,
-        "framed ingest sustains only {:.1}% of direct enqueue ({best_framed:.0} vs \
-         {best_direct:.0} steps/s) — the wire protocol must cost under 10%",
-        ratio * 100.0,
+        ratio.median >= 0.90,
+        "framed ingest sustains only {:.1}% of direct enqueue ({:.0} vs {:.0} steps/s, \
+         median of {} pairs) — the wire protocol must cost under 10%",
+        ratio.median * 100.0,
+        framed.median,
+        direct.median,
+        ratio.k,
     );
 }

@@ -25,17 +25,16 @@
 //! scorer instead). Results are **deterministic and byte-identical at any
 //! job count, and to the pre-tree per-group and pre-fan-out per-cell
 //! grids** — every root seeds its own RNG chain and its rows land in
-//! fixed cell slots. Per-root (and legacy per-group / per-cell) wall
-//! times are written to `bench_output/table3_timing.json` as a
-//! perf-regression artifact.
+//! fixed cell slots. Per-root wall time, training seconds and
+//! `fit_initial` counts are written to `bench_output/table3_timing.json`
+//! as a perf-regression artifact (the root is the only timed unit).
 //!
 //! The quick profile shortens the series and strides the KSWIN test; the
 //! full profile uses w = 100 and a 5000-step warm-up as in the paper
 //! (minutes on a multi-core machine instead of the previous ~hour serial).
 
 use sad_bench::{
-    cell_index, run_grid, CellTiming, EvalRow, GridDims, GroupTiming, HarnessArgs, HarnessScale,
-    RootTiming, Table, TimingArtifact,
+    cell_index, run_grid, EvalRow, GridDims, HarnessArgs, HarnessScale, Table, TimingArtifact,
 };
 use sad_core::{paper_algorithms, ScoreKind};
 use sad_data::{daphnet_like, exathlon_like, smd_like, Corpus, CorpusParams};
@@ -129,54 +128,8 @@ fn main() {
     println!("online ARIMA below the non-linear models; AL > Avg > Raw on NAB;");
     println!("long-anomaly corpora (exathlon-like) produce deeply negative NAB rows.");
 
-    let artifact = TimingArtifact {
-        harness: "table3_results".into(),
-        profile: if args.full { "full" } else { "quick" }.into(),
-        jobs: grid.jobs_used,
-        wall_time: grid.wall_time,
-        cpu_time: grid.cpu_time(),
-        cells: grid
-            .labels
-            .iter()
-            .zip(&grid.report_times)
-            .zip(&grid.rows)
-            .map(|((label, &wall), row)| CellTiming {
-                label: label.clone(),
-                wall,
-                train_seconds: row.train_seconds,
-            })
-            .collect(),
-        groups: grid
-            .group_labels
-            .iter()
-            .zip(&grid.group_times)
-            .zip(grid.group_shared.iter().zip(&grid.group_train_seconds))
-            .map(|((label, &wall), (&shared_pass, &train_seconds))| GroupTiming {
-                label: label.clone(),
-                wall,
-                train_seconds,
-                shared_pass,
-                scorers: scorers.len(),
-            })
-            .collect(),
-        roots: grid
-            .root_labels
-            .iter()
-            .zip(grid.root_times.iter().zip(&grid.root_train_seconds))
-            .zip(grid.root_initial_fits.iter().zip(grid.root_shared.iter().zip(&grid.root_variants)))
-            .map(|((label, (&wall, &train_seconds)), (&initial_fits, (&shared_pass, &variants)))| {
-                RootTiming {
-                    label: label.clone(),
-                    wall,
-                    train_seconds,
-                    initial_fits,
-                    shared_pass,
-                    variants,
-                    scorers: scorers.len(),
-                }
-            })
-            .collect(),
-    };
+    let profile = if args.full { "full" } else { "quick" };
+    let artifact = TimingArtifact::from_grid("table3_results", profile, &grid);
     match artifact.write("bench_output/table3_timing.json") {
         Ok(()) => eprintln!(
             "wall {:.2}s, cpu {:.2}s, {} jobs, {} roots, {} initial fits -> bench_output/table3_timing.json",

@@ -9,7 +9,7 @@
 //! uniformly to every algorithm). Metrics are averaged across the corpus's
 //! series.
 
-use sad_core::{AlgorithmSpec, DetectorConfig, ModelKind, ScoreKind, Task1, Task2};
+use sad_core::{DetectorConfig, ModelKind, ScoreKind, Task1, Task2};
 use sad_data::Corpus;
 use sad_metrics::{best_f1, best_nab, pr_auc, vus_pr};
 use sad_models::{build_scorer, build_scorer_bank, build_shared_warmup, BuildParams};
@@ -27,12 +27,6 @@ pub struct EvalRow {
     pub vus: f64,
     /// Point-wise NAB score.
     pub nab: f64,
-    /// Wall time (seconds) the detectors spent in model training (initial
-    /// fit + drift-triggered fine-tunes), summed over the corpus's series.
-    /// Telemetry, not a metric: excluded from the table output and from
-    /// the bitwise-determinism guarantees, surfaced per cell in the
-    /// timing artifact.
-    pub train_seconds: f64,
 }
 
 impl EvalRow {
@@ -68,8 +62,6 @@ impl EvalRow {
             auc: mean_of(|r| r.auc),
             vus: mean_of(|r| r.vus),
             nab: mean_of(|r| r.nab),
-            // Wall time is a cost, not a quality metric: totals add up.
-            train_seconds: rows.iter().map(|r| r.train_seconds).sum(),
         }
     }
 }
@@ -110,12 +102,7 @@ const N_THRESHOLDS: usize = 40;
 
 /// Computes the five-metric row for one score trace against its aligned
 /// labels.
-fn metrics_row(
-    scores: &[f64],
-    labels: &[bool],
-    window: usize,
-    train_seconds: f64,
-) -> EvalRow {
+fn metrics_row(scores: &[f64], labels: &[bool], window: usize) -> EvalRow {
     debug_assert_eq!(scores.len(), labels.len());
     let (_th, precision, recall, _f1) = best_f1(scores, labels, N_THRESHOLDS);
     let auc = pr_auc(scores, labels, N_THRESHOLDS);
@@ -124,22 +111,7 @@ fn metrics_row(
     // treatment of precision/recall (the paper does not state its
     // thresholding rule).
     let (_nab_th, report) = best_nab(scores, labels, N_THRESHOLDS);
-    EvalRow { precision, recall, auc, vus, nab: report.score, train_seconds }
-}
-
-/// Result of evaluating one `(spec, corpus)` group over several scorers at
-/// once.
-#[derive(Debug, Clone)]
-pub struct GroupEval {
-    /// One corpus-averaged metric row per requested scorer, in input order.
-    pub rows: Vec<EvalRow>,
-    /// Whether the scorer fan-out shared a single detector pass per series.
-    /// `false` only for anomaly-feedback strategies (ARES), which share the
-    /// warm-up + initial fit and then fork one detector per scorer.
-    pub shared_pass: bool,
-    /// True training wall time of the group (seconds): shared work counted
-    /// once, unlike summing the per-scorer `train_seconds` telemetry.
-    pub train_seconds: f64,
+    EvalRow { precision, recall, auc, vus, nab: report.score }
 }
 
 /// Result of evaluating one **root** of the shared-prefix evaluation tree:
@@ -155,11 +127,6 @@ pub struct TreeEval {
     /// `false` only for anomaly-feedback strategies (ARES) evaluated over
     /// several scorers.
     pub shared_pass: bool,
-    /// Legacy per-variant training seconds: each variant's view counts the
-    /// shared warm-up fit as its own, matching what a standalone
-    /// `(spec, corpus)` group run would have reported. Sums to more than
-    /// [`Self::train_seconds`] whenever the fit was actually shared.
-    pub variant_train_seconds: Vec<f64>,
     /// True training wall time of the root (seconds): the shared initial
     /// fit counted ONCE across all variants and scorers, plus every fork's
     /// own fine-tune cost.
@@ -172,7 +139,7 @@ pub struct TreeEval {
 /// Evaluates one shared-prefix root: `(model, task1)` on `corpus`, forked
 /// over the drift variants in `task2s`, fanned out over `scorers`.
 ///
-/// Bitwise identical to one [`evaluate_spec_scorers`] call per
+/// Bitwise identical to one independent single-variant evaluation per
 /// `(model, task1, task2)` spec, but the expensive shared prefix — warm-up
 /// streaming of the representation + Task-1 strategy and the initial model
 /// fit — is computed once per series instead of once per variant. This is
@@ -181,8 +148,9 @@ pub struct TreeEval {
 /// [`sad_core::SharedWarmup`]) and every component seeds its own RNG
 /// chain.
 ///
-/// Per fork the scorer dimension then collapses exactly as in
-/// [`evaluate_spec_scorers`]:
+/// A single-variant call (`task2s` of length one) is the plain per-spec
+/// evaluation: one warm-up + fit + fork per series. Per fork the scorer
+/// dimension then collapses:
 ///
 /// * **Shared pass** (SW / URES): one [`sad_core::Detector::run_fanout`]
 ///   pass over the post-warm-up suffix tees the nonconformity stream
@@ -203,7 +171,6 @@ pub fn evaluate_tree(
     // Per-(variant, scorer) accumulation of per-series rows.
     let mut per_leaf: Vec<Vec<Vec<EvalRow>>> =
         vec![vec![Vec::new(); scorers.len()]; task2s.len()];
-    let mut variant_train = vec![0.0f64; task2s.len()];
     let mut root_train = 0.0f64;
     let mut initial_fits = 0usize;
     let mut shared_pass = true;
@@ -229,19 +196,16 @@ pub fn evaluate_tree(
                 let mut fork = shared.fork(v, build_scorer(scorers[0], params));
                 let mut bank = build_scorer_bank(scorers, params);
                 let run = fork.run_fanout(&series.data[warm..], &mut bank);
-                let train = fork.train_time().as_secs_f64();
-                variant_train[v] += train;
                 // The fork's telemetry carries the shared fit; only its
                 // post-fork fine-tunes are new cost for the root.
-                root_train += train - base_train;
+                root_train += fork.train_time().as_secs_f64() - base_train;
                 for (k, trace) in run.traces.iter().enumerate() {
-                    leaves[k].push(metrics_row(trace, labels, window, train));
+                    leaves[k].push(metrics_row(trace, labels, window));
                 }
             }
         } else {
             shared_pass = scorers.len() == 1;
             for (v, leaves) in per_leaf.iter_mut().enumerate() {
-                variant_train[v] += base_train;
                 for (k, &kind) in scorers.iter().enumerate() {
                     let mut fork = shared.fork(v, build_scorer(kind, params));
                     let mut scores = Vec::with_capacity(series.data.len() - warm);
@@ -250,10 +214,8 @@ pub fn evaluate_tree(
                             scores.push(out.anomaly_score);
                         }
                     }
-                    let fork_train = fork.train_time().as_secs_f64();
-                    variant_train[v] += fork_train - base_train;
-                    root_train += fork_train - base_train;
-                    leaves[k].push(metrics_row(&scores, labels, window, fork_train));
+                    root_train += fork.train_time().as_secs_f64() - base_train;
+                    leaves[k].push(metrics_row(&scores, labels, window));
                 }
             }
         }
@@ -264,56 +226,27 @@ pub fn evaluate_tree(
             .map(|leaves| leaves.iter().map(|rows| EvalRow::mean(rows)).collect())
             .collect(),
         shared_pass,
-        variant_train_seconds: variant_train,
         train_seconds: root_train,
         initial_fits,
     }
 }
 
-/// Runs `spec` over every series of `corpus` once per series (when the
-/// algorithm permits) and returns one corpus-averaged metric row **per
-/// scorer** in `scorers`.
-///
-/// Single-variant special case of [`evaluate_tree`]: the shared-prefix
-/// machinery degenerates to one warm-up + fit + fork per series, which is
-/// bitwise identical to the pre-tree group evaluation (and hence to
-/// per-scorer [`evaluate_spec`] runs).
-pub fn evaluate_spec_scorers(
-    spec: AlgorithmSpec,
-    params: &BuildParams,
-    corpus: &Corpus,
-    scorers: &[ScoreKind],
-) -> GroupEval {
-    let tree = evaluate_tree(spec.model, spec.task1, &[spec.task2], params, corpus, scorers);
-    let TreeEval { rows, shared_pass, train_seconds, .. } = tree;
-    GroupEval {
-        rows: rows.into_iter().next().expect("exactly one variant"),
-        shared_pass,
-        train_seconds,
-    }
-}
-
-/// Runs `spec` with anomaly scorer `score` over every series of `corpus`
-/// and returns the corpus-averaged metric row.
-///
-/// Single-scorer special case of [`evaluate_spec_scorers`]; the fan-out
-/// machinery degenerates to the legacy one-detector-one-scorer loop and
-/// reproduces it bitwise.
-pub fn evaluate_spec(
-    spec: AlgorithmSpec,
-    params: &BuildParams,
-    corpus: &Corpus,
-    score: ScoreKind,
-) -> EvalRow {
-    evaluate_spec_scorers(spec, params, corpus, &[score]).rows[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sad_core::paper_algorithms;
+    use sad_core::{paper_algorithms, AlgorithmSpec};
     use sad_data::{daphnet_like, CorpusParams};
     use sad_models::build_detector;
+
+    /// The plain per-spec evaluation: a root with one drift variant.
+    fn evaluate_spec(
+        spec: AlgorithmSpec,
+        params: &BuildParams,
+        corpus: &Corpus,
+        scorers: &[ScoreKind],
+    ) -> TreeEval {
+        evaluate_tree(spec.model, spec.task1, &[spec.task2], params, corpus, scorers)
+    }
 
     #[test]
     fn quick_profile_evaluates_one_algorithm() {
@@ -323,7 +256,7 @@ mod tests {
         let corpus = daphnet_like(3, params);
         let spec = paper_algorithms()[0]; // Online ARIMA / SW / μσ
         let bp = harness_params(9, HarnessScale::Quick);
-        let row = evaluate_spec(spec, &bp, &corpus, ScoreKind::AnomalyLikelihood);
+        let row = evaluate_spec(spec, &bp, &corpus, &[ScoreKind::AnomalyLikelihood]).rows[0][0];
         assert!((0.0..=1.0).contains(&row.precision));
         assert!((0.0..=1.0).contains(&row.recall));
         assert!((0.0..=1.0).contains(&row.auc));
@@ -347,7 +280,7 @@ mod tests {
                 let mut detector = build_detector(spec, &p);
                 let (scores, offset) = detector.score_series(&series.data);
                 let labels = &series.labels[offset..];
-                metrics_row(&scores, labels, params.config.window, detector.train_time().as_secs_f64())
+                metrics_row(&scores, labels, params.config.window)
             })
             .collect();
         EvalRow::mean(&rows)
@@ -359,11 +292,10 @@ mod tests {
         assert_eq!(a.auc.to_bits(), b.auc.to_bits(), "{what}: auc");
         assert_eq!(a.vus.to_bits(), b.vus.to_bits(), "{what}: vus");
         assert_eq!(a.nab.to_bits(), b.nab.to_bits(), "{what}: nab");
-        // train_seconds is wall-clock telemetry: excluded on purpose.
     }
 
     #[test]
-    fn group_eval_matches_legacy_per_scorer_runs_bitwise() {
+    fn single_variant_tree_matches_legacy_per_scorer_runs_bitwise() {
         use sad_core::Task1;
         let mut cp = CorpusParams::small();
         cp.length = 700;
@@ -389,14 +321,15 @@ mod tests {
             .find(|s| s.task1 == Task1::AnomalyAwareReservoir)
             .unwrap();
         for (spec, expect_shared) in [(shared_spec, true), (ares_spec, false)] {
-            let group = evaluate_spec_scorers(spec, &bp, &corpus, &kinds);
-            assert_eq!(group.shared_pass, expect_shared, "{}", spec.label());
-            assert_eq!(group.rows.len(), kinds.len());
-            assert!(group.train_seconds >= 0.0);
+            let tree = evaluate_spec(spec, &bp, &corpus, &kinds);
+            assert_eq!(tree.shared_pass, expect_shared, "{}", spec.label());
+            assert_eq!(tree.rows.len(), 1);
+            assert_eq!(tree.rows[0].len(), kinds.len());
+            assert!(tree.train_seconds >= 0.0);
             for (k, &kind) in kinds.iter().enumerate() {
                 let legacy = legacy_evaluate(spec, &bp, &corpus, kind);
                 assert_rows_bitwise(
-                    &group.rows[k],
+                    &tree.rows[0][k],
                     &legacy,
                     &format!("{} / {kind:?}", spec.label()),
                 );
@@ -405,7 +338,7 @@ mod tests {
     }
 
     /// A paired tree root (both drift variants of one `(model, Task1)`)
-    /// reproduces the two per-spec group evaluations bitwise, while
+    /// reproduces the two single-variant evaluations bitwise, while
     /// running `fit_initial` only once per series.
     #[test]
     fn tree_eval_matches_per_spec_groups_bitwise() {
@@ -435,19 +368,15 @@ mod tests {
             let task2s: Vec<_> = pair.iter().map(|s| s.task2).collect();
             let tree = evaluate_tree(model, task1, &task2s, &bp, &corpus, &kinds);
             assert_eq!(tree.rows.len(), 2);
-            assert_eq!(tree.variant_train_seconds.len(), 2);
             // One shared fit per series, not one per variant.
             assert_eq!(tree.initial_fits, corpus.series.len());
-            // The shared fit is counted once in the root total but in
-            // both legacy per-variant views.
-            assert!(tree.variant_train_seconds.iter().sum::<f64>() >= tree.train_seconds);
             for (v, &spec) in pair.iter().enumerate() {
-                let group = evaluate_spec_scorers(spec, &bp, &corpus, &kinds);
-                assert_eq!(tree.shared_pass, group.shared_pass, "{}", spec.label());
+                let single = evaluate_spec(spec, &bp, &corpus, &kinds);
+                assert_eq!(tree.shared_pass, single.shared_pass, "{}", spec.label());
                 for (k, kind) in kinds.iter().enumerate() {
                     assert_rows_bitwise(
                         &tree.rows[v][k],
-                        &group.rows[k],
+                        &single.rows[0][k],
                         &format!("{} / {kind:?}", spec.label()),
                     );
                 }
@@ -455,25 +384,26 @@ mod tests {
         }
     }
 
+    /// A one-scorer root equals the matching leaf of a scorer fan-out.
     #[test]
-    fn evaluate_spec_is_single_scorer_group() {
+    fn single_scorer_tree_matches_its_fan_out_leaf() {
         let mut cp = CorpusParams::small();
         cp.length = 600;
         cp.n_series = 1;
         let corpus = daphnet_like(2, cp);
         let bp = harness_params(corpus.series[0].channels(), HarnessScale::Quick);
         let spec = paper_algorithms()[0];
-        let single = evaluate_spec(spec, &bp, &corpus, ScoreKind::Average);
-        let group = evaluate_spec_scorers(spec, &bp, &corpus, &[ScoreKind::Average]);
-        assert!(group.shared_pass);
-        assert_rows_bitwise(&single, &group.rows[0], "single-scorer delegation");
+        let single = evaluate_spec(spec, &bp, &corpus, &[ScoreKind::Average]);
+        let fan = evaluate_spec(spec, &bp, &corpus, &[ScoreKind::Raw, ScoreKind::Average]);
+        assert!(single.shared_pass && fan.shared_pass);
+        assert_rows_bitwise(&single.rows[0][0], &fan.rows[0][1], "single-scorer root");
     }
 
     #[test]
     fn mean_skips_nan_cells_per_metric() {
         let rows = [
-            EvalRow { precision: 0.8, recall: 0.6, auc: 0.5, vus: f64::NAN, nab: 1.0, ..EvalRow::default() },
-            EvalRow { precision: 0.4, recall: 0.2, auc: 0.7, vus: 0.3, nab: 3.0, ..EvalRow::default() },
+            EvalRow { precision: 0.8, recall: 0.6, auc: 0.5, vus: f64::NAN, nab: 1.0 },
+            EvalRow { precision: 0.4, recall: 0.2, auc: 0.7, vus: 0.3, nab: 3.0 },
         ];
         let m = EvalRow::mean(&rows);
         // NaN VUS in one row must not poison the other metrics…
@@ -499,8 +429,8 @@ mod tests {
     #[test]
     fn mean_of_rows() {
         let rows = [
-            EvalRow { precision: 1.0, recall: 0.0, auc: 0.5, vus: 0.2, nab: -2.0, train_seconds: 0.5 },
-            EvalRow { precision: 0.0, recall: 1.0, auc: 0.5, vus: 0.4, nab: 4.0, train_seconds: 0.25 },
+            EvalRow { precision: 1.0, recall: 0.0, auc: 0.5, vus: 0.2, nab: -2.0 },
+            EvalRow { precision: 0.0, recall: 1.0, auc: 0.5, vus: 0.4, nab: 4.0 },
         ];
         let m = EvalRow::mean(&rows);
         assert_eq!(m.precision, 0.5);
@@ -508,7 +438,5 @@ mod tests {
         assert_eq!(m.auc, 0.5);
         assert!((m.vus - 0.3).abs() < 1e-12);
         assert_eq!(m.nab, 1.0);
-        // Train time is a cost: it sums instead of averaging.
-        assert!((m.train_seconds - 0.75).abs() < 1e-12);
     }
 }

@@ -12,20 +12,23 @@
 //! | `ablation_drift_agreement` | §V-B claim: μ/σ ≈ KSWIN triggers |
 //! | `ablation_task1` | §V-B claim: ARES helps |
 //!
-//! Criterion micro-benches live in `benches/`. The [`eval`] module holds
-//! the shared corpus-evaluation loop; [`fmt`] the plain-text table printer.
+//! Criterion micro-benches live in `benches/`. [`eval::evaluate_tree`] is
+//! the one corpus evaluator (one shared-prefix root: a `(model, Task1)`
+//! pair forked over its drift variants and fanned out over scorers);
+//! [`grid`] schedules roots over the Table III grid; [`timing`] records
+//! one timing entry per root; [`gate`] runs the fixed-K interleaved pairs
+//! behind the throughput gates; [`fmt`] is the plain-text table printer.
 
 pub mod eval;
 pub mod fmt;
+pub mod gate;
 pub mod grid;
 pub mod parallel;
 pub mod timing;
 
-pub use eval::{
-    evaluate_spec, evaluate_spec_scorers, evaluate_tree, harness_params, EvalRow, GroupEval,
-    HarnessScale, TreeEval,
-};
+pub use eval::{evaluate_tree, harness_params, EvalRow, HarnessScale, TreeEval};
 pub use fmt::Table;
-pub use grid::{cell_index, group_index, plan_roots, run_grid, GridDims, GridRun, RootSpec};
+pub use gate::{interleaved_pairs, Spread, GATE_PAIRS};
+pub use grid::{cell_index, plan_roots, run_grid, GridDims, GridRun, RootSpec};
 pub use parallel::{available_workers, HarnessArgs, JobPool, JobReport};
-pub use timing::{CellTiming, GroupTiming, RootTiming, TimingArtifact};
+pub use timing::{RootTiming, TimingArtifact};

@@ -14,8 +14,8 @@
 //! not depend on the refactored code path under test.
 
 use sad_bench::{
-    cell_index, evaluate_spec_scorers, harness_params, run_grid, EvalRow, GridDims, HarnessScale,
-    JobPool,
+    cell_index, evaluate_tree, harness_params, run_grid, EvalRow, GridDims, HarnessScale, JobPool,
+    TreeEval,
 };
 use sad_core::{paper_algorithms, AlgorithmSpec, DetectorConfig, ScoreKind, Task1};
 use sad_data::{daphnet_like, smd_like, Corpus, CorpusParams};
@@ -73,17 +73,21 @@ fn legacy_row(
             let auc = pr_auc(&scores, labels, n_thresholds);
             let vus = vus_pr(&scores, labels, params.config.window, n_thresholds);
             let (_nab_th, report) = best_nab(&scores, labels, n_thresholds);
-            EvalRow {
-                precision,
-                recall,
-                auc,
-                vus,
-                nab: report.score,
-                train_seconds: detector.train_time().as_secs_f64(),
-            }
+            EvalRow { precision, recall, auc, vus, nab: report.score }
         })
         .collect();
     EvalRow::mean(&rows)
+}
+
+/// The fan-out path under test for one spec: a root with one drift
+/// variant.
+fn evaluate_spec(
+    spec: AlgorithmSpec,
+    params: &BuildParams,
+    corpus: &Corpus,
+    scorers: &[ScoreKind],
+) -> TreeEval {
+    evaluate_tree(spec.model, spec.task1, &[spec.task2], params, corpus, scorers)
 }
 
 fn row_bits(row: &EvalRow) -> [u64; 5] {
@@ -116,7 +120,7 @@ fn synthetic_series(len: usize, channels: usize, seed: u64) -> Vec<Vec<f64>> {
 fn fanout_traces_match_legacy_for_every_spec_and_scorer() {
     // Every Table I spec: feedback-free ones take the shared-pass branch,
     // ARES ones the warm-up-share fork branch inside
-    // `evaluate_spec_scorers`; at trace level only feedback-free specs
+    // `evaluate_tree`; at trace level only feedback-free specs
     // can use `run_fanout` directly.
     let series = synthetic_series(260, 2, 5);
     for spec in paper_algorithms() {
@@ -156,13 +160,14 @@ fn group_rows_match_legacy_for_every_spec() {
     let channels = corpus.series[0].channels();
     for spec in paper_algorithms() {
         let params = tiny_params(channels, 21);
-        let group = evaluate_spec_scorers(spec, &params, &corpus, &ALL_SCORERS);
-        assert_eq!(group.rows.len(), ALL_SCORERS.len());
-        assert_eq!(group.shared_pass, spec.task1 != Task1::AnomalyAwareReservoir, "{}", spec.label());
+        let tree = evaluate_spec(spec, &params, &corpus, &ALL_SCORERS);
+        assert_eq!(tree.rows.len(), 1);
+        assert_eq!(tree.rows[0].len(), ALL_SCORERS.len());
+        assert_eq!(tree.shared_pass, spec.task1 != Task1::AnomalyAwareReservoir, "{}", spec.label());
         for (k, &kind) in ALL_SCORERS.iter().enumerate() {
             let legacy = legacy_row(spec, &params, &corpus, kind);
             assert_eq!(
-                row_bits(&group.rows[k]),
+                row_bits(&tree.rows[0][k]),
                 row_bits(&legacy),
                 "{} / {kind:?}: EvalRow diverges from legacy per-scorer run",
                 spec.label(),
@@ -205,9 +210,6 @@ fn grid_matches_legacy_cells_at_every_worker_count() {
         let grid =
             run_grid(&specs, &corpora, &ALL_SCORERS, HarnessScale::Quick, JobPool::new(jobs));
         assert_eq!(grid.rows.len(), legacy.len(), "jobs={jobs}");
-        assert_eq!(grid.group_labels.len(), specs.len() * corpora.len());
-        assert_eq!(grid.group_times.len(), grid.group_labels.len());
-        assert_eq!(grid.group_shared.len(), grid.group_labels.len());
         for (si, spec) in specs.iter().enumerate() {
             for ci in 0..corpora.len() {
                 for (ki, kind) in ALL_SCORERS.iter().enumerate() {
@@ -215,8 +217,7 @@ fn grid_matches_legacy_cells_at_every_worker_count() {
                     assert_eq!(
                         row_bits(&grid.rows[idx]),
                         row_bits(&legacy[idx]),
-                        "jobs={jobs}: cell {} ({} / {kind:?}) diverges",
-                        grid.labels[idx],
+                        "jobs={jobs}: cell {idx} ({} / {kind:?}) diverges",
                         spec.label(),
                     );
                 }
@@ -266,10 +267,10 @@ mod props {
                     name: "prop".into(),
                     series: vec![sad_data::LabeledSeries::new("prop-s0", series.clone(), labels)],
                 };
-                let group = evaluate_spec_scorers(spec, &params, &corpus, &ALL_SCORERS);
+                let tree = evaluate_spec(spec, &params, &corpus, &ALL_SCORERS);
                 for (k, &kind) in ALL_SCORERS.iter().enumerate() {
                     let legacy = legacy_row(spec, &params, &corpus, kind);
-                    prop_assert_eq!(row_bits(&group.rows[k]), row_bits(&legacy));
+                    prop_assert_eq!(row_bits(&tree.rows[0][k]), row_bits(&legacy));
                 }
             }
         }

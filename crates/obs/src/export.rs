@@ -2,9 +2,9 @@
 //! exposition and a JSON snapshot.
 //!
 //! Both renderers are plain `std` string building (the workspace has no
-//! serialization dependency, matching `sad_bench::timing`'s hand-rolled
-//! JSON). Exporting allocates freely — it runs outside the guarded hot
-//! paths — and stays pluggable: anything that can ship a `String` (a file,
+//! serialization dependency; `sad_bench::timing` reuses [`json_string`]).
+//! Exporting allocates freely — it runs outside the guarded hot paths —
+//! and stays pluggable: anything that can ship a `String` (a file,
 //! stderr, the future TCP transport) is a sink.
 
 use crate::{Histogram, Registry};
@@ -160,8 +160,9 @@ impl Registry {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
+/// Quotes `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -183,6 +184,12 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::with_label;
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("a\nb\\c"), "\"a\\nb\\\\c\"");
+        assert_eq!(json_string("AE \"q\"\u{1}"), "\"AE \\\"q\\\"\\u0001\"");
+    }
 
     fn sample() -> Registry {
         let mut reg = Registry::new();
