@@ -7,8 +7,8 @@
 //! window-periodic (drift-free) 38-channel stream, so all fleet members
 //! stay one weight cohort and the steady state is pure inference: the
 //! measured delta is exactly the shared `forward_batch` against N scalar
-//! `predict` calls, single-threaded (shards = 1, parallel off — the
-//! batching win must not lean on parallelism).
+//! `predict` calls, single-threaded (shards = 1, so the fleet starts no
+//! pool worker — the batching win must not lean on parallelism).
 //!
 //! Three modes per fleet size: `scalar` (per-stream `Detector::step`),
 //! `batched` (shared f64 `forward_batch` per cohort — bitwise-parity
@@ -103,7 +103,6 @@ fn serve(n: usize, mode: Mode, rounds: usize, telemetry: bool) -> ModeResult {
     let config = FleetConfig {
         shards: 1,
         batching: mode != Mode::Scalar,
-        parallel: false,
         queue_capacity: 4,
         f32_infer: mode == Mode::BatchedF32,
         telemetry,
@@ -219,7 +218,7 @@ fn main() {
         "{{\n  \"harness\": \"fleet_throughput\",\n  \"profile\": \"{}\",\n  \
          \"model\": \"2-layer AE / SW / μ/σ\",\n  \"window\": {WINDOW},\n  \
          \"channels\": {CHANNELS},\n  \"warmup\": {WARMUP},\n  \"rounds\": {rounds},\n  \
-         \"shards\": 1,\n  \"parallel\": false,\n  \"fleets\": [\n{}\n  ]\n}}\n",
+         \"shards\": 1,\n  \"fleets\": [\n{}\n  ]\n}}\n",
         if full { "full" } else { "quick" },
         entries.join(",\n"),
     );

@@ -85,7 +85,6 @@ fn fleet_config() -> FleetConfig {
     FleetConfig {
         shards: 1,
         batching: true,
-        parallel: false,
         queue_capacity: 4,
         f32_infer: false,
         telemetry: true,

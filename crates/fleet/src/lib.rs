@@ -36,11 +36,22 @@
 //! ## Sharding
 //!
 //! Stream `i` lives on shard `i % shards` (deterministic, so parity holds
-//! at any shard count). Shards own disjoint state; with
-//! `FleetConfig::parallel` a drain round runs one scoped thread per shard
-//! (the PR 1 scoped-thread pattern). Outputs are always scattered back
-//! into stream-id order, so results are byte-identical across shard
-//! counts and parallelism settings.
+//! at any shard count); dynamic admissions go to the least-loaded shard.
+//! Shards own disjoint state, and a drain round runs them on the fleet's
+//! persistent worker pool: `DetectorFleet::open` starts
+//! `min(shards, available_parallelism) − 1` workers once, and in every
+//! round the calling thread and the workers claim shards from one atomic
+//! counter, so a round never waits on a worker that has not started. Idle
+//! workers spin briefly and then park; the pool is joined when the fleet
+//! drops. [`FleetConfig::default`] has one shard per available core (the
+//! cgroup quota and CPU affinity included), so a one-CPU host gets one
+//! shard, no worker, and every round inline on the caller. Outputs are
+//! always scattered back into stream-id order, so results are
+//! byte-identical across shard and worker counts.
+//!
+//! Cohorts are per shard: weight-identical streams on different shards
+//! ride different forward passes, so more shards mean fewer rows per
+//! batch in exchange for more cores per round.
 //!
 //! ## Training phase
 //!
@@ -49,15 +60,15 @@
 //! or drift fine-tune is only *recorded* during a serve round. After the
 //! shards' rounds, [`DetectorFleet::drain_round`] runs one fleet-level
 //! training phase over every recorded job: none does nothing, one runs
-//! inline, and two or more run concurrently on
-//! `min(available_parallelism, jobs)` scoped threads pulling from one
-//! shared queue. Each job touches only its own detector, so outputs are
+//! inline, and two or more run on the same worker pool, claimed one job
+//! at a time. Each job touches only its own detector, so outputs are
 //! bitwise identical to inline training at any worker count. Streams that
 //! warmed up join their arch group after the phase, in the same round.
 //!
-//! The zero-alloc contract covers rounds that train nothing — they spawn
-//! no thread and allocate nothing. Rounds with two or more jobs may spawn
-//! scoped threads and allocate; they already run the expensive path.
+//! No round spawns a thread. The zero-alloc contract covers rounds that
+//! train nothing, at any shard count. A round with training jobs
+//! allocates (the job list and the training itself); it already runs the
+//! expensive path.
 //!
 //! ## Telemetry
 //!
@@ -72,8 +83,9 @@
 //! Prometheus/JSON sinks. `FleetConfig::telemetry` gates only the clock
 //! reads and the queue sweep (the measured overhead knob).
 
-use std::sync::Mutex;
+mod pool;
 
+use pool::ShardPool;
 use sad_core::{Detector, ModelOutput, StepOutput, StreamModel};
 use sad_models::{
     batch_arch_key, infer_state_equal, ArchKey, InferBatch, InferSnapshot, InferSource,
@@ -116,15 +128,15 @@ pub enum OfferOutcome {
 /// Static configuration of a [`DetectorFleet`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of shards (stream `i` → shard `i % shards`).
+    /// Number of shards (stream `i` → shard `i % shards`). Shards drain
+    /// concurrently on `min(shards, available_parallelism)` threads, the
+    /// caller included. Defaults to the host's available parallelism
+    /// (cgroup quota and CPU affinity included). Cohorts are per shard, so
+    /// more shards mean fewer rows per batched forward pass.
     pub shards: usize,
     /// Enables cross-stream batched NN stepping (off = every stream runs
     /// the scalar `Detector::step` path).
     pub batching: bool,
-    /// Drains shards on one scoped thread each. Off by default: the
-    /// batching win is orthogonal to parallelism and benches honestly on
-    /// a single core.
-    pub parallel: bool,
     /// Per-stream input queue capacity (stream vectors).
     pub queue_capacity: usize,
     /// Serves cohort forward passes through f32 weight snapshots
@@ -149,14 +161,18 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
-            shards: 1,
+            shards: available_parallelism(),
             batching: true,
-            parallel: false,
             queue_capacity: 64,
             f32_infer: false,
             telemetry: true,
         }
     }
+}
+
+/// The host's available parallelism (1 when it cannot be read).
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Cumulative serving counters — a snapshot derived from the per-shard
@@ -486,6 +502,8 @@ struct ArchGroup {
 /// admissions so slot indices stay stable for the group membership lists.
 struct Shard {
     slots: Vec<Option<StreamSlot>>,
+    /// Vacant slot indices, most recently vacated last (reused first).
+    free: Vec<usize>,
     /// Per-slot model-output buffer (sibling of `slots` so the batched
     /// path can borrow a slot's detector and its output buffer at once).
     out_bufs: Vec<ModelOutput>,
@@ -507,6 +525,7 @@ impl Shard {
     fn new(batching: bool, f32_infer: bool, telemetry: bool) -> Self {
         Self {
             slots: Vec::new(),
+            free: Vec::new(),
             out_bufs: Vec::new(),
             outs: Vec::new(),
             trainees: Vec::new(),
@@ -529,7 +548,7 @@ impl Shard {
             group: None,
             eligibility_checked: false,
         };
-        if let Some(vacant) = self.slots.iter().position(Option::is_none) {
+        if let Some(vacant) = self.free.pop() {
             self.slots[vacant] = Some(slot);
             // The vacated output buffer is kept — the first batched emit
             // right-sizes it for the new stream's model.
@@ -547,7 +566,7 @@ impl Shard {
 
     /// Live (non-vacant) slot count.
     fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len() - self.free.len()
     }
 
     /// Removes `slot` from the shard: drops the detector and any queued
@@ -568,6 +587,7 @@ impl Shard {
             group.dirty = true;
         }
         self.outs[slot] = None;
+        self.free.push(slot);
         self.metrics.reg.inc(self.metrics.retired, 1);
     }
 
@@ -842,9 +862,8 @@ impl Shard {
 pub struct DetectorFleet {
     shards: Vec<Shard>,
     config: FleetConfig,
-    /// Worker threads the training phase may use: the host's available
-    /// parallelism (cgroup quota and CPU affinity included), read once.
-    train_workers: usize,
+    /// Runs the shards' rounds and the training phase's jobs.
+    pool: ShardPool,
     training: TrainingMetrics,
     /// Stream id → (shard, slot); `None` once the stream is retired.
     /// Fleets built by [`DetectorFleet::new`] lay ids out round-robin
@@ -874,6 +893,8 @@ impl DetectorFleet {
     /// Opens an *empty* fleet with exactly `config.shards` shards, ready
     /// for dynamic admission — the serving-engine entry point, where
     /// entities appear on first contact rather than at construction.
+    /// Starts the worker pool: `min(shards, available_parallelism) − 1`
+    /// threads, joined when the fleet drops.
     ///
     /// # Panics
     /// Panics on a zero shard count / queue capacity.
@@ -885,8 +906,8 @@ impl DetectorFleet {
                 Shard::new(config.batching, config.batching && config.f32_infer, config.telemetry)
             })
             .collect();
-        let train_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self { shards, config, train_workers, training: TrainingMetrics::new(), addr: Vec::new() }
+        let pool = ShardPool::new(config.shards.min(available_parallelism()) - 1);
+        Self { shards, config, pool, training: TrainingMetrics::new(), addr: Vec::new() }
     }
 
     /// Admits a new stream: the detector lands on the shard with the
@@ -923,7 +944,7 @@ impl DetectorFleet {
 
     /// Number of live streams.
     pub fn live(&self) -> usize {
-        self.addr.iter().filter(|a| a.is_some()).count()
+        self.shards.iter().map(Shard::live).sum()
     }
 
     /// Number of stream ids ever issued (live + retired).
@@ -1009,19 +1030,8 @@ impl DetectorFleet {
             *o = None;
         }
         let consumed: usize = self.shards.iter().map(Shard::pending).sum();
-
-        if self.config.parallel && self.shards.len() > 1 {
-            // One scoped worker per shard; shards own disjoint state.
-            std::thread::scope(|scope| {
-                for shard in &mut self.shards {
-                    scope.spawn(|| shard.round());
-                }
-            });
-        } else {
-            for shard in &mut self.shards {
-                shard.round();
-            }
-        }
+        // Shards own disjoint state: the caller and the workers claim them.
+        self.pool.for_each_mut(&mut self.shards, Shard::round);
         self.train();
 
         // Scatter shard-local outputs back into stream-id order.
@@ -1037,37 +1047,23 @@ impl DetectorFleet {
 
     /// The training phase: runs every job the shards' rounds recorded, one
     /// job per detector, then lets freshly fitted streams join their arch
-    /// groups. Workers pull jobs from one shared queue, because an initial
-    /// fit costs `initial_epochs` fine-tunes.
+    /// groups. Jobs are claimed one at a time, not one shard at a time,
+    /// because an initial fit costs `initial_epochs` fine-tunes.
     fn train(&mut self) {
         let jobs: usize = self.shards.iter().map(|s| s.trainees.len()).sum();
         if jobs == 0 {
             return;
         }
         let started = self.config.telemetry.then(std::time::Instant::now);
-        let workers = self.train_workers.min(jobs);
-        let queue = Mutex::new(
-            self.shards
-                .iter_mut()
-                .flat_map(|shard| shard.slots.iter_mut().flatten())
-                .map(|slot| &mut slot.det)
-                .filter(|det| det.has_pending_training()),
-        );
-        let work = || loop {
-            let next = queue.lock().expect("a training worker panicked").next();
-            let Some(det) = next else { break };
-            det.train_pending();
-        };
-        if workers == 1 {
-            work();
-        } else {
-            // The calling thread is one of the workers.
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(work);
-                }
-                work();
-            });
+        let mut pending: Vec<&mut Detector> = self
+            .shards
+            .iter_mut()
+            .flat_map(|shard| shard.slots.iter_mut().flatten())
+            .map(|slot| &mut slot.det)
+            .filter(|det| det.has_pending_training())
+            .collect();
+        self.pool.for_each_mut(&mut pending, |det| det.train_pending());
+        if jobs > 1 && self.pool.workers() > 0 {
             self.training.reg.inc(self.training.parallel_rounds, 1);
         }
         for shard in &mut self.shards {
@@ -1238,10 +1234,10 @@ mod tests {
     #[test]
     fn fleet_runs_and_reports_batched_rows() {
         // Two identically-seeded AE streams on identical warm-up data stay
-        // one cohort: their steps are served batched.
+        // one cohort on one shard: their steps are served batched.
         let fleet_series = vec![series(140, 0.0), series(140, 0.0)];
-        let mut fleet =
-            DetectorFleet::new(vec![ae_detector(7), ae_detector(7)], FleetConfig::default());
+        let config = FleetConfig { shards: 1, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::new(vec![ae_detector(7), ae_detector(7)], config);
         let traces = fleet.run(&fleet_series);
         assert_eq!(traces[0].len(), 80);
         assert_eq!(traces[1].len(), 80);
@@ -1363,6 +1359,25 @@ mod tests {
         assert_eq!((stats.admitted, stats.retired), (4, 1), "{stats:?}");
         let reg = fleet.export_metrics();
         assert_eq!(reg.gauge_by_name("sad_fleet_streams"), Some(3.0), "live streams gauge");
+
+        // A mixed admit/retire sequence: the live counts, kept from the
+        // free-slot lists, equal a scan of every id and of every slot.
+        let e = fleet.admit(ae_detector(5));
+        fleet.retire(a);
+        fleet.retire(e);
+        let f = fleet.admit(ae_detector(6));
+        let g = fleet.admit(ae_detector(7));
+        fleet.retire(c);
+        assert_eq!((f, g), (5, 6));
+        let scanned = (0..fleet.len()).filter(|&id| fleet.is_live(id)).count();
+        assert_eq!(scanned, 3);
+        assert_eq!(fleet.live(), scanned);
+        for shard in &fleet.shards {
+            assert_eq!(shard.live(), shard.slots.iter().flatten().count());
+            assert!(shard.free.iter().all(|&slot| shard.slots[slot].is_none()));
+        }
+        // Vacated slots are reused, so the shards never grew past the peak.
+        assert_eq!(fleet.shards.iter().map(|s| s.slots.len()).sum::<usize>(), 4);
     }
 
     #[test]
@@ -1395,6 +1410,124 @@ mod tests {
             stats.batches <= stats.batched_rows / 2 + 2,
             "twin rows amortize into shared passes: {stats:?}",
         );
+    }
+
+    /// Test models for the panic test: `Gate` holds its shard's round
+    /// until `Bomb` has run; `Bomb` raises the flag and panics, naming the
+    /// thread it panicked on.
+    #[derive(Clone)]
+    struct Gate(std::sync::Arc<std::sync::atomic::AtomicBool>);
+    #[derive(Clone)]
+    struct Bomb(std::sync::Arc<std::sync::atomic::AtomicBool>);
+
+    impl StreamModel for Gate {
+        fn name(&self) -> &'static str {
+            "gate"
+        }
+        fn predict(&mut self, _: &sad_core::FeatureVector) -> ModelOutput {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while !self.0.load(std::sync::atomic::Ordering::SeqCst) {
+                assert!(std::time::Instant::now() < deadline, "the bomb never ran");
+                std::thread::yield_now();
+            }
+            ModelOutput::Score(0.5)
+        }
+        fn fit_initial(&mut self, _: &[sad_core::FeatureVector], _: usize) {}
+        fn fine_tune(&mut self, _: &[sad_core::FeatureVector]) {}
+        fn clone_box(&self) -> Box<dyn StreamModel> {
+            Box::new(self.clone())
+        }
+    }
+
+    impl StreamModel for Bomb {
+        fn name(&self) -> &'static str {
+            "bomb"
+        }
+        fn predict(&mut self, _: &sad_core::FeatureVector) -> ModelOutput {
+            self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+            panic!("bomb on {}", std::thread::current().name().unwrap_or("?"));
+        }
+        fn fit_initial(&mut self, _: &[sad_core::FeatureVector], _: usize) {}
+        fn fine_tune(&mut self, _: &[sad_core::FeatureVector]) {}
+        fn clone_box(&self) -> Box<dyn StreamModel> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn stub_detector(model: Box<dyn StreamModel>) -> Detector {
+        let config = DetectorConfig {
+            window: 2,
+            channels: 1,
+            warmup: 4,
+            initial_epochs: 1,
+            fine_tune_epochs: 1,
+        };
+        Detector::new(
+            config,
+            model,
+            Box::new(sad_core::SlidingWindowSet::new(4)),
+            Box::new(sad_core::MuSigmaChange::new()),
+            Box::new(sad_core::RawScore),
+        )
+    }
+
+    /// A model that panics on a pool worker: `drain_round` re-raises the
+    /// panic on the caller, and dropping the fleet afterwards joins its
+    /// workers. Which thread claims which shard is up to the claim race,
+    /// so the fleet is rebuilt until the bomb went off on a worker (the
+    /// gate keeps the caller busy, so the first attempt almost always
+    /// does). On a one-CPU host the pool has no worker and the panic
+    /// comes straight from the caller.
+    #[test]
+    fn a_panic_on_a_worker_reaches_the_caller_and_drop_joins_the_pool() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let mut on_worker = false;
+        let mut pooled = false;
+        for _ in 0..20 {
+            let flag = Arc::new(AtomicBool::new(false));
+            let config = FleetConfig { shards: 2, ..FleetConfig::default() };
+            let mut fleet = DetectorFleet::open(config);
+            pooled = fleet.pool.workers() > 0;
+            let gate: Box<dyn StreamModel> = if pooled {
+                Box::new(Gate(Arc::clone(&flag)))
+            } else {
+                Box::new(Bomb(Arc::clone(&flag)))
+            };
+            let first = fleet.admit(stub_detector(gate));
+            let second = fleet.admit(stub_detector(Box::new(Bomb(Arc::clone(&flag)))));
+            let mut out = Vec::new();
+            for t in 0..4 {
+                for id in [first, second] {
+                    assert!(fleet.enqueue(id, &[t as f64]));
+                }
+                fleet.drain_round(&mut out);
+            }
+            for id in [first, second] {
+                assert!(fleet.enqueue(id, &[4.0]));
+            }
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fleet.drain_round(&mut out);
+            }));
+            let payload = caught.expect_err("the model's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().expect("formatted panic message");
+            assert!(message.starts_with("bomb on "), "{message}");
+            on_worker = message.starts_with("bomb on sad-fleet-");
+
+            let (done, dropped) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                drop(fleet);
+                done.send(()).expect("the test is waiting");
+            });
+            dropped
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("dropping the fleet joins its workers");
+            if on_worker || !pooled {
+                break;
+            }
+        }
+        assert_eq!(on_worker, pooled, "the bomb went off on a worker whenever there is one");
     }
 
     /// The exported registry agrees with the `stats()` snapshot, carries

@@ -2,8 +2,8 @@
 //! standalone detectors.
 //!
 //! The tentpole guarantee of the fleet layer: serving K streams through
-//! [`DetectorFleet`] — at any shard count, with batched NN stepping on or
-//! off, serial or parallel — produces, per stream, the **bit-identical**
+//! [`DetectorFleet`] — at any shard count (shards drain on the fleet's
+//! worker pool), with batched NN stepping on or off — produces, per stream, the **bit-identical**
 //! `StepOutput` trace of a standalone `Detector::run` over the same
 //! series, plus identical drift times and fine-tune counts. The batched
 //! path shares one `forward_batch` per weight-identical cohort, so the
@@ -97,8 +97,8 @@ fn assert_traces_identical(fleet: &[StepOutput], standalone: &[StepOutput], labe
 }
 
 /// The mixed fleet against standalone references, for shard counts 1/2/4
-/// × batching on/off (the ISSUE acceptance matrix), plus a parallel
-/// drain. Identical outputs everywhere.
+/// × batching on/off. Multi-shard fleets drain on the worker pool
+/// whenever the host has more than one core. Identical outputs everywhere.
 #[test]
 fn mixed_fleet_matches_standalone_detectors_at_all_shard_counts() {
     let streams = mixed_streams();
@@ -120,40 +120,36 @@ fn mixed_fleet_matches_standalone_detectors_at_all_shard_counts() {
 
     for shards in [1usize, 2, 4] {
         for batching in [true, false] {
-            for parallel in [false, true] {
-                if parallel && (shards == 1 || !batching) {
-                    continue; // parallelism is orthogonal; one batched probe per shard count
-                }
-                let label = format!("shards={shards} batching={batching} parallel={parallel}");
-                let dets: Vec<Detector> =
-                    streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
-                let config = FleetConfig { shards, batching, parallel, queue_capacity: 4, ..FleetConfig::default() };
-                let mut fleet = DetectorFleet::new(dets, config);
-                let traces = fleet.run(&fleet_series);
-                for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
-                    let stream = format!("{label} stream {i}");
-                    assert_traces_identical(&traces[i], ref_trace, &stream);
-                    let det = fleet.detector(i);
-                    assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
-                    assert_eq!(
-                        det.fine_tune_count(),
-                        ref_det.fine_tune_count(),
-                        "{stream}: fine-tune count",
-                    );
-                }
-                let stats = fleet.stats();
-                if batching {
-                    assert!(stats.batched_rows > 0, "{label}: batched path never engaged");
-                    assert!(stats.cohort_rebuilds > 0, "{label}: cohorts never rebuilt");
-                } else {
-                    assert_eq!(stats.batched_rows, 0, "{label}: batching off must stay scalar");
-                }
+            let label = format!("shards={shards} batching={batching}");
+            let dets: Vec<Detector> =
+                streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
+            let config =
+                FleetConfig { shards, batching, queue_capacity: 4, ..FleetConfig::default() };
+            let mut fleet = DetectorFleet::new(dets, config);
+            let traces = fleet.run(&fleet_series);
+            for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
+                let stream = format!("{label} stream {i}");
+                assert_traces_identical(&traces[i], ref_trace, &stream);
+                let det = fleet.detector(i);
+                assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
                 assert_eq!(
-                    stats.steps,
-                    streams.iter().map(|s| s.3.len()).sum::<usize>(),
-                    "{label}: every vector consumed exactly once",
+                    det.fine_tune_count(),
+                    ref_det.fine_tune_count(),
+                    "{stream}: fine-tune count",
                 );
             }
+            let stats = fleet.stats();
+            if batching {
+                assert!(stats.batched_rows > 0, "{label}: batched path never engaged");
+                assert!(stats.cohort_rebuilds > 0, "{label}: cohorts never rebuilt");
+            } else {
+                assert_eq!(stats.batched_rows, 0, "{label}: batching off must stay scalar");
+            }
+            assert_eq!(
+                stats.steps,
+                streams.iter().map(|s| s.3.len()).sum::<usize>(),
+                "{label}: every vector consumed exactly once",
+            );
         }
     }
 }
@@ -166,7 +162,9 @@ fn cohort_twins_amortize_forward_passes() {
     let fleet_series: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
     let dets: Vec<Detector> =
         streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
-    let mut fleet = DetectorFleet::new(dets, FleetConfig::default());
+    // Cohorts are per shard: one shard keeps the twins together.
+    let config = FleetConfig { shards: 1, ..FleetConfig::default() };
+    let mut fleet = DetectorFleet::new(dets, config);
     let _ = fleet.run(&fleet_series);
     let stats = fleet.stats();
     assert!(
@@ -178,10 +176,10 @@ fn cohort_twins_amortize_forward_passes() {
 /// The fleet's training phase: every stream below warms up in the same
 /// round (five initial fits in one phase), and the same level shift makes
 /// several streams fine-tune in the same rounds (the seed twins always
-/// do). At 1 and 2 shards, drained serially or in parallel, the phase —
-/// inline or on several workers, whatever the host offers — must leave
-/// every stream bitwise equal to a standalone detector, and its job
-/// counter must equal warm-ups plus fine-tunes.
+/// do). At 1 and 2 shards the phase — inline, or on the worker pool when
+/// the fleet has one — must leave every stream bitwise equal to a
+/// standalone detector, and its job counter must equal warm-ups plus
+/// fine-tunes.
 #[test]
 fn concurrent_training_phase_matches_standalone_detectors() {
     let streams = vec![
@@ -207,39 +205,40 @@ fn concurrent_training_phase_matches_standalone_detectors() {
     let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
 
     for shards in [1usize, 2] {
-        for parallel in [false, true] {
-            let label = format!("shards={shards} parallel={parallel}");
-            let dets: Vec<Detector> =
-                streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
-            let config = FleetConfig { shards, parallel, queue_capacity: 4, ..FleetConfig::default() };
-            let mut fleet = DetectorFleet::new(dets, config);
-            let traces = fleet.run(&fleet_series);
-            for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
-                let stream = format!("{label} stream {i}");
-                assert_traces_identical(&traces[i], ref_trace, &stream);
-                let det = fleet.detector(i);
-                assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
-                assert_eq!(
-                    det.fine_tune_count(),
-                    ref_det.fine_tune_count(),
-                    "{stream}: fine-tune count",
-                );
-            }
-            let stats = fleet.stats();
-            assert_eq!(stats.training_jobs, streams.len() + fine_tunes, "{label}: {stats:?}");
-            let reg = fleet.export_metrics();
+        let label = format!("shards={shards}");
+        let dets: Vec<Detector> =
+            streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
+        let config = FleetConfig { shards, queue_capacity: 4, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::new(dets, config);
+        let traces = fleet.run(&fleet_series);
+        for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
+            let stream = format!("{label} stream {i}");
+            assert_traces_identical(&traces[i], ref_trace, &stream);
+            let det = fleet.detector(i);
+            assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
             assert_eq!(
-                reg.counter_by_name("sad_fleet_training_jobs_total"),
-                Some(stats.training_jobs as u64),
-                "{label}",
+                det.fine_tune_count(),
+                ref_det.fine_tune_count(),
+                "{stream}: fine-tune count",
             );
-            let phases = reg.histogram_by_name("sad_fleet_training_seconds").unwrap().count();
-            assert!(phases > 0 && phases < stats.training_jobs as u64, "{label}: {phases} phases");
-            let parallel_rounds =
-                reg.counter_by_name("sad_fleet_training_parallel_rounds_total").unwrap();
-            assert!(parallel_rounds <= phases, "{label}");
-            assert_eq!(parallel_rounds > 0, multi_core, "{label}: worker path follows the host");
         }
+        let stats = fleet.stats();
+        assert_eq!(stats.training_jobs, streams.len() + fine_tunes, "{label}: {stats:?}");
+        let reg = fleet.export_metrics();
+        assert_eq!(
+            reg.counter_by_name("sad_fleet_training_jobs_total"),
+            Some(stats.training_jobs as u64),
+            "{label}",
+        );
+        let phases = reg.histogram_by_name("sad_fleet_training_seconds").unwrap().count();
+        assert!(phases > 0 && phases < stats.training_jobs as u64, "{label}: {phases} phases");
+        let parallel_rounds =
+            reg.counter_by_name("sad_fleet_training_parallel_rounds_total").unwrap();
+        assert!(parallel_rounds <= phases, "{label}");
+        // The pool has a worker only when both the shards and the host
+        // offer a second thread.
+        let pooled = shards > 1 && multi_core;
+        assert_eq!(parallel_rounds > 0, pooled, "{label}: worker path follows the pool");
     }
 }
 
@@ -286,7 +285,8 @@ mod props {
 
             let dets: Vec<Detector> =
                 streams.iter().map(|&(idx, expect, seed)| detector(idx, expect, seed)).collect();
-            let config = FleetConfig { shards, batching, parallel: false, queue_capacity: 4, ..FleetConfig::default() };
+            let config =
+                FleetConfig { shards, batching, queue_capacity: 4, ..FleetConfig::default() };
             let mut fleet = DetectorFleet::new(dets, config);
             let traces = fleet.run(&fleet_series);
 

@@ -13,24 +13,29 @@
 //! inference path is exactly what makes the NN predict step heap-free —
 //! the scalar `predict` builds its scaled/inverse vectors per call, while
 //! `InferBatch` owns them once per arch group.
+//!
+//! The guard runs at one and at two shards, set explicitly, whatever the
+//! host's default. A two-shard fleet drains on its worker pool when the
+//! host has a second core, so the counter is process-wide: it sees the
+//! workers' allocations, and a thread spawned in a round (which
+//! allocates) fails the guard. That is also why this file runs without
+//! the libtest harness (`harness = false`): the harness's own threads
+//! allocate while a test runs, and no thread but the guard's and the
+//! pool's may allocate inside an armed window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct CountingAllocator;
 
 impl CountingAllocator {
     fn record() {
-        let _ = ARMED.try_with(|armed| {
-            if armed.get() {
-                let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            }
-        });
+        if ARMED.load(Ordering::SeqCst) {
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -58,12 +63,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made by any thread of the process while `f` runs.
 fn count_allocs(f: impl FnOnce()) -> usize {
-    ALLOCS.with(|c| c.set(0));
-    ARMED.with(|a| a.set(true));
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     f();
-    ARMED.with(|a| a.set(false));
-    ALLOCS.with(|c| c.get())
+    ARMED.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst)
 }
 
 use sad_core::{Detector, DetectorConfig, ScoreKind, StepOutput};
@@ -71,7 +77,7 @@ use sad_fleet::{DetectorFleet, FleetConfig};
 use sad_models::{build_detector, BuildParams};
 
 const CHANNELS: usize = 2;
-const STREAMS: usize = 2;
+const STREAMS_PER_SHARD: usize = 2;
 
 /// Stationary stream, periodic with the detector's window length (8):
 /// every window holds the same multiset of values per channel, so the
@@ -100,43 +106,45 @@ fn ae_detector() -> Detector {
     build_detector(spec, &params)
 }
 
-/// Both streams identically seeded on an identical stationary stream:
-/// they form (and keep) one cohort, so the armed window measures the
-/// batched shard loop, not the scalar fallback.
-#[test]
-fn steady_state_fleet_round_is_allocation_free() {
-    let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();
-    let mut fleet = DetectorFleet::new(dets, FleetConfig::default());
+/// Every stream identically seeded on an identical stationary stream:
+/// each shard's streams form (and keep) one cohort, so the armed window
+/// measures the batched shard loop, not the scalar fallback.
+fn steady_state_round_is_allocation_free(shards: usize, f32_infer: bool) {
+    let streams = STREAMS_PER_SHARD * shards;
+    let dets: Vec<Detector> = (0..streams).map(|_| ae_detector()).collect();
+    let config = FleetConfig { shards, f32_infer, ..FleetConfig::default() };
+    let mut fleet = DetectorFleet::new(dets, config);
     let mut out: Vec<Option<StepOutput>> = Vec::new();
     let mut t = 0usize;
+    let label = format!("shards={shards} f32_infer={f32_infer}");
 
     // Settle: warm-up (64) plus well past every ring's fill point and the
     // first batched emit (which right-sizes the per-slot output buffers).
     for _ in 0..192 {
         let s = stream_vector(t);
-        for i in 0..STREAMS {
+        for i in 0..streams {
             assert!(fleet.enqueue(i, &s));
         }
         fleet.drain_round(&mut out);
         t += 1;
     }
-    for i in 0..STREAMS {
+    for i in 0..streams {
         assert!(
             fleet.detector(i).drift_times().is_empty(),
-            "stream must be drift-free for this guard",
+            "{label}: stream must be drift-free for this guard",
         );
     }
     let settled = fleet.stats();
-    assert!(settled.batched_rows > 0, "cohort must have formed during settle: {settled:?}");
+    assert!(settled.batched_rows > 0, "{label}: no cohort formed during settle: {settled:?}");
 
     let n = count_allocs(|| {
         for _ in 0..256 {
             let s = stream_vector(t);
-            for i in 0..STREAMS {
+            for i in 0..streams {
                 assert!(fleet.enqueue(i, &s));
             }
             let consumed = fleet.drain_round(&mut out);
-            assert_eq!(consumed, STREAMS);
+            assert_eq!(consumed, streams);
             for o in &out {
                 let o = o.expect("past warm-up");
                 assert!(!o.drift, "stream must stay drift-free");
@@ -144,65 +152,38 @@ fn steady_state_fleet_round_is_allocation_free() {
             t += 1;
         }
     });
-    assert_eq!(n, 0, "steady-state fleet round must not allocate, saw {n}");
+    assert_eq!(n, 0, "{label}: steady-state fleet round must not allocate, saw {n}");
 
-    // And the window really went through the batched path.
+    // And the window really went through the batched path, one pass per
+    // shard and round.
     let stats = fleet.stats();
     assert_eq!(
         stats.batched_rows - settled.batched_rows,
-        256 * STREAMS,
-        "armed window must be fully batched: {stats:?}",
+        256 * streams,
+        "{label}: armed window must be fully batched: {stats:?}",
     );
-    assert_eq!(stats.cohort_rebuilds, settled.cohort_rebuilds, "no training events while armed");
+    assert_eq!(stats.batches - settled.batches, 256 * shards, "{label}: {stats:?}");
+    if f32_infer {
+        assert_eq!(stats.f32_rows - settled.f32_rows, 256 * streams, "{label}: {stats:?}");
+    }
+    assert_eq!(
+        stats.cohort_rebuilds, settled.cohort_rebuilds,
+        "{label}: no training events while armed",
+    );
 }
 
-/// Same guard for the f32 snapshot path (`FleetConfig::f32_infer`): each
-/// cohort's `InferSnapshot<f32>` owns its converted weights and the arch
-/// group's `InferBatch<f32>` every buffer, so a steady-state round — f32
-/// pack, snapshot forward, widening emit — must not allocate either.
-#[test]
-fn steady_state_f32_fleet_round_is_allocation_free() {
-    let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();
-    let config = FleetConfig { f32_infer: true, ..FleetConfig::default() };
-    let mut fleet = DetectorFleet::new(dets, config);
-    let mut out: Vec<Option<StepOutput>> = Vec::new();
-    let mut t = 0usize;
-
-    for _ in 0..192 {
-        let s = stream_vector(t);
-        for i in 0..STREAMS {
-            assert!(fleet.enqueue(i, &s));
+/// One shard and two, f64 and f32 serving. The f32 snapshot path
+/// (`FleetConfig::f32_infer`) keeps each cohort's converted weights in its
+/// `InferSnapshot<f32>` and every buffer in the arch group's
+/// `InferBatch<f32>`, so its round — f32 pack, snapshot forward, widening
+/// emit — must not allocate either. At two shards on a multi-core host the
+/// round runs on the caller and a pool worker together, and must neither
+/// allocate nor spawn. A failed case panics, which fails the test binary.
+fn main() {
+    for shards in [1, 2] {
+        for f32_infer in [false, true] {
+            steady_state_round_is_allocation_free(shards, f32_infer);
+            println!("steady-state fleet round, shards={shards} f32={f32_infer}: 0 allocations");
         }
-        fleet.drain_round(&mut out);
-        t += 1;
     }
-    for i in 0..STREAMS {
-        assert!(
-            fleet.detector(i).drift_times().is_empty(),
-            "stream must be drift-free for this guard",
-        );
-    }
-    let settled = fleet.stats();
-    assert!(settled.f32_rows > 0, "f32 cohort must have formed during settle: {settled:?}");
-
-    let n = count_allocs(|| {
-        for _ in 0..256 {
-            let s = stream_vector(t);
-            for i in 0..STREAMS {
-                assert!(fleet.enqueue(i, &s));
-            }
-            let consumed = fleet.drain_round(&mut out);
-            assert_eq!(consumed, STREAMS);
-            t += 1;
-        }
-    });
-    assert_eq!(n, 0, "steady-state f32 fleet round must not allocate, saw {n}");
-
-    let stats = fleet.stats();
-    assert_eq!(
-        stats.f32_rows - settled.f32_rows,
-        256 * STREAMS,
-        "armed window must be fully f32-batched: {stats:?}",
-    );
-    assert_eq!(stats.cohort_rebuilds, settled.cohort_rebuilds, "no training events while armed");
 }

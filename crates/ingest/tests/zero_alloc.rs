@@ -11,24 +11,29 @@
 //!
 //! Both framings are pinned: the binary decoder reads into a reused body
 //! buffer, and the CSV decoder parses floats out of a reused line buffer.
+//! Each runs at one and at two shards, set explicitly, whatever the host's
+//! default. A two-shard fleet drains on its worker pool when the host has
+//! a second core, so the counter is process-wide: it sees the workers'
+//! allocations, and a thread spawned in a round (which allocates) fails
+//! the guard. That is also why this file runs without the libtest
+//! harness (`harness = false`): the harness's own threads allocate while a
+//! test runs, and no thread but the guard's and the pool's may allocate
+//! inside an armed window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct CountingAllocator;
 
 impl CountingAllocator {
     fn record() {
-        let _ = ARMED.try_with(|armed| {
-            if armed.get() {
-                let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            }
-        });
+        if ARMED.load(Ordering::SeqCst) {
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -56,12 +61,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made by any thread of the process while `f` runs.
 fn count_allocs(f: impl FnOnce()) -> usize {
-    ALLOCS.with(|c| c.set(0));
-    ARMED.with(|a| a.set(true));
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     f();
-    ARMED.with(|a| a.set(false));
-    ALLOCS.with(|c| c.get())
+    ARMED.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst)
 }
 
 use std::io::Cursor;
@@ -74,7 +80,7 @@ use sad_ingest::{
 use sad_models::BuildParams;
 
 const CHANNELS: usize = 2;
-const STREAMS: usize = 2;
+const STREAMS_PER_SHARD: usize = 2;
 const SETTLE_ROUNDS: usize = 192;
 const ARMED_ROUNDS: usize = 256;
 
@@ -87,7 +93,7 @@ fn stream_vector(t: usize) -> [f64; CHANNELS] {
     [phase.sin(), phase.cos() * 0.5]
 }
 
-fn engine() -> IngestEngine {
+fn engine(shards: usize) -> IngestEngine {
     let spec = AlgorithmSpec {
         model: ModelKind::TwoLayerAe,
         task1: Task1::SlidingWindow,
@@ -105,15 +111,16 @@ fn engine() -> IngestEngine {
     // An armed idle sweep runs every round (nothing qualifies — both
     // streams send every round), proving the sweep itself is alloc-free.
     let cfg = EngineConfig { idle_rounds: Some(10_000), ..EngineConfig::default() };
-    IngestEngine::new(DetectorTemplate::new(spec, params), FleetConfig::default(), cfg)
+    let fleet = FleetConfig { shards, ..FleetConfig::default() };
+    IngestEngine::new(DetectorTemplate::new(spec, params), fleet, cfg)
 }
 
 /// Interleaved wire bytes for `rounds` rounds starting at step `t0`.
-fn wire_bytes(framing: Framing, t0: usize, rounds: usize) -> Vec<u8> {
+fn wire_bytes(framing: Framing, streams: usize, t0: usize, rounds: usize) -> Vec<u8> {
     let mut writer = FrameWriter::new(Vec::new(), framing);
     for t in t0..t0 + rounds {
         let s = stream_vector(t);
-        for i in 0..STREAMS {
+        for i in 0..streams {
             writer.send(i as u64, &s).expect("in-memory write");
         }
     }
@@ -136,14 +143,15 @@ fn pump(
     }
 }
 
-fn steady_state_is_allocation_free(framing: Framing) {
-    let mut engine = engine();
+fn steady_state_is_allocation_free(framing: Framing, shards: usize) {
+    let streams = STREAMS_PER_SHARD * shards;
+    let mut engine = engine(shards);
     let outputs = Cell::new(0usize);
     let mut frame = Frame::default();
 
     // One continuous wire: the same transport (and decode buffers) carry
     // both phases, exactly like a long-lived connection.
-    let wire = wire_bytes(framing, 0, SETTLE_ROUNDS + ARMED_ROUNDS);
+    let wire = wire_bytes(framing, streams, 0, SETTLE_ROUNDS + ARMED_ROUNDS);
     let mut binary;
     let mut csv;
     let transport: &mut dyn Transport = match framing {
@@ -159,33 +167,36 @@ fn steady_state_is_allocation_free(framing: Framing) {
 
     // Settle: admission, warm-up (64), cohort formation, and every
     // reusable buffer stretched to steady-state capacity.
-    pump(transport, &mut frame, &mut engine, &outputs, SETTLE_ROUNDS * STREAMS);
+    pump(transport, &mut frame, &mut engine, &outputs, SETTLE_ROUNDS * streams);
     let settled = engine.stats();
-    assert_eq!(settled.fleet.admitted, STREAMS, "both streams admitted during settle");
+    assert_eq!(settled.fleet.admitted, streams, "every stream admitted during settle");
     assert!(settled.fleet.batched_rows > 0, "cohort must have formed during settle: {settled:?}");
 
     // Armed: the full wire step — decode, route, offer, drain — on
     // already-live streams.
     let n = count_allocs(|| {
-        pump(transport, &mut frame, &mut engine, &outputs, ARMED_ROUNDS * STREAMS);
+        pump(transport, &mut frame, &mut engine, &outputs, ARMED_ROUNDS * streams);
     });
-    assert_eq!(n, 0, "steady-state {framing:?} ingest must not allocate, saw {n}");
+    assert_eq!(n, 0, "steady-state {framing:?} ingest, shards={shards}: saw {n} allocations");
 
     // And the armed window really served every frame through the engine.
     let stats = engine.stats();
-    assert_eq!(stats.frames - settled.frames, ARMED_ROUNDS * STREAMS);
-    assert_eq!(stats.fleet.steps - settled.fleet.steps, ARMED_ROUNDS * STREAMS);
-    assert_eq!(stats.fleet.admitted, STREAMS, "no re-admission while armed");
-    assert_eq!(stats.idle_retired, 0, "nothing idles while both streams send");
+    assert_eq!(stats.frames - settled.frames, ARMED_ROUNDS * streams);
+    assert_eq!(stats.fleet.steps - settled.fleet.steps, ARMED_ROUNDS * streams);
+    assert_eq!(stats.fleet.admitted, streams, "no re-admission while armed");
+    assert_eq!(stats.idle_retired, 0, "nothing idles while every stream sends");
     assert!(outputs.get() > 0, "post-warm-up outputs flowed through the sink");
 }
 
-#[test]
-fn steady_state_binary_ingest_is_allocation_free() {
-    steady_state_is_allocation_free(Framing::Binary);
-}
-
-#[test]
-fn steady_state_csv_ingest_is_allocation_free() {
-    steady_state_is_allocation_free(Framing::Csv);
+/// Both framings at one shard and at two. At two shards on a multi-core
+/// host every round runs on the caller and a pool worker together, and
+/// must neither allocate nor spawn. A failed case panics, which fails the
+/// test binary.
+fn main() {
+    for shards in [1, 2] {
+        for framing in [Framing::Binary, Framing::Csv] {
+            steady_state_is_allocation_free(framing, shards);
+            println!("steady-state {framing:?} ingest, shards={shards}: 0 allocations");
+        }
+    }
 }

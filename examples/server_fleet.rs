@@ -4,10 +4,12 @@
 //!
 //! 1. **Replica fleet under steady load** — one AE warm-started on a
 //!    reference stream and rolled out as N identical clones (replicas
-//!    behind a load balancer). Weight-identical streams stay one batching
-//!    cohort, so every round packs the whole fleet into a single
-//!    `forward_batch`; with no drift events the serving cost is pure
-//!    inference and batching wins outright. Timed batched vs per-stream.
+//!    behind a load balancer). Weight-identical streams on one shard stay
+//!    one batching cohort, so every round packs each shard's share of the
+//!    fleet into a single `forward_batch` (the fleet has one shard per
+//!    core and drains them in parallel); with no drift events the serving
+//!    cost is pure inference and batching wins outright. Timed batched vs
+//!    per-stream.
 //!
 //! 2. **Heterogeneous fleet** — the same clone rolled out to six
 //!    *different* SMD-like servers. Each server drifts on its own

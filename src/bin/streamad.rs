@@ -121,7 +121,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         list: false,
         fleet: None,
-        shards: 1,
+        shards: FleetConfig::default().shards,
         no_batch: false,
         f32_infer: false,
         metrics_json: None,
@@ -243,7 +243,9 @@ fn parse_args() -> Result<Args, String> {
                             [--csv] [--policy block|drop-newest|drop-oldest] [--idle-rounds N] \
                             [--max-streams N] [--queue-cap N] [--algo N] [--window W] \
                             [--warmup N] [--shards S] [--no-batch] [--f32-infer] \
-                            [--metrics-json PATH] [--metrics-every N]"
+                            [--metrics-json PATH] [--metrics-every N]\n\
+                            \x20      --shards S: worker shards, drained in parallel \
+                            (default: the host's cores; cohorts are per shard)"
                     .into())
             }
             "serve" if !args.serve && args.path.is_none() => args.serve = true,
@@ -474,7 +476,6 @@ fn run_serve(args: &Args, spec: AlgorithmSpec) -> ExitCode {
     let fleet_config = FleetConfig {
         shards: args.shards,
         batching: !args.no_batch,
-        parallel: false,
         queue_capacity: args.queue_cap,
         f32_infer: args.f32_infer,
         telemetry: true,
@@ -636,7 +637,6 @@ fn run_fleet(args: &Args, spec: AlgorithmSpec, series: &LabeledSeries, n: usize)
     let fleet_config = FleetConfig {
         shards: args.shards,
         batching,
-        parallel: false,
         queue_capacity: 4,
         f32_infer: args.f32_infer,
         telemetry: true,
